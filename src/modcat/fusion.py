@@ -69,10 +69,6 @@ class FusionRing:
             self._tensor = t
         return self._tensor
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
-        """Matrix of multiplication by object i: entry (j, k) = N_ij^k."""
-        return self.tensor()[i]
-
     def verification(self) -> "FusionReport":
         if self._report is None:
             self._report = verify_fusion_ring(self)

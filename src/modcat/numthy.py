@@ -3,18 +3,12 @@ square roots modulo prime powers, and unit-group orbits.
 
 Everything here is exact integer arithmetic.  Moduli of interest are
 desk-scale (<= 10**6), so factorization is plain trial division; square
-roots switch from exhaustive search to Tonelli-Shanks + Hensel lifting
-once the modulus outgrows brute force.
+roots come from Tonelli-Shanks plus Hensel lifting, and unit-square orbits
+are told apart by their Legendre signs.  Brute-force counterparts of these
+algorithms live in the test oracles.
 """
 
 from __future__ import annotations
-
-from math import gcd, isqrt
-
-# Below this modulus, modular square roots are found by exhaustive search;
-# above it, by Tonelli-Shanks plus Hensel lifting.  The two paths are
-# cross-checked against each other in the test suite.
-_SEARCH_LIMIT = 10_000
 
 Factorization = list[tuple[int, int]]
 
@@ -138,39 +132,13 @@ def _hensel_lift(r: int, a: int, p: int, e: int) -> int:
     return r % p**e
 
 
-def _sqrt_mod_search(a: int, p: int, e: int) -> int | None:
-    """Exhaustive-search root of a modulo p**e; None if there is none."""
-    pe = p**e
-    for j in range(pe):
-        if j * j % pe == a % pe:
-            return j
-    return None
-
-
-def _sqrt_mod_lift(a: int, p: int, e: int) -> int | None:
-    """Tonelli-Shanks + Hensel root of a modulo p**e; None if none exists."""
-    pe = p**e
-    a %= pe
-    if a == 0:
-        return 0
-    t = 0
-    while a % p == 0:
-        a //= p
-        t += 1
-    if t % 2 == 1:
-        return None
-    if jacobi(a, p) != 1:
-        return None
-    root = _hensel_lift(_tonelli_shanks(a, p), a, p, e - t)
-    return root * p ** (t // 2) % pe
-
-
 def sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
     """Some j with j**2 == a (mod p**e), or None when no root exists.
 
     p must be an odd prime (the even-modulus theory is out of scope) and
     0 <= a < p**e.  For gcd(a, p) = 1 solvability agrees with
-    jacobi(a, p) == +1.
+    jacobi(a, p) == +1.  The root comes from Tonelli-Shanks modulo p,
+    Hensel-lifted to p**e after dividing out the even power of p in a.
     """
     if p == 2:
         raise ValueError("p = 2 is not supported; only odd prime moduli")
@@ -180,14 +148,16 @@ def sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
         raise ValueError(f"exponent must be positive, got {e}")
     if not 0 <= a < p**e:
         raise ValueError(f"need 0 <= a < p**e, got a={a}, p**e={p**e}")
-    if p**e <= _SEARCH_LIMIT:
-        return _sqrt_mod_search(a, p, e)
-    return _sqrt_mod_lift(a, p, e)
-
-
-def units(n: int) -> list[int]:
-    """Residues coprime to n, ascending.  units(1) == [0]."""
-    return [u for u in range(n) if gcd(u, n) == 1]
+    if a == 0:
+        return 0
+    t = 0
+    while a % p == 0:
+        a //= p
+        t += 1
+    if t % 2 == 1 or jacobi(a, p) != 1:
+        return None
+    root = _hensel_lift(_tonelli_shanks(a, p), a, p, e - t)
+    return root * p ** (t // 2) % p**e
 
 
 def unit_square_orbits(n: int) -> tuple[int, list[int]]:
@@ -196,18 +166,26 @@ def unit_square_orbits(n: int) -> tuple[int, list[int]]:
     Returns (orbit count, smallest representative of each orbit,
     ascending).  For odd n the count is 2**s where s is the number of
     distinct primes of n.
+
+    Two units share an orbit exactly when their quotient is a square
+    modulo every prime power of n, i.e. when their Legendre symbols agree
+    modulo every prime of n.  Scanning u = 1, 2, ... and keeping the first
+    unit of each new sign vector therefore yields the orbit minima; the
+    scan stops once all 2**s sign vectors have appeared.
     """
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"need odd positive n, got {n}")
     if n == 1:
         return 1, [0]
-    us = units(n)
-    squares = {u * u % n for u in us}
-    seen: set[int] = set()
+    primes = distinct_primes(n)
+    count = 2 ** len(primes)
+    seen: set[tuple[int, ...]] = set()
     reps: list[int] = []
-    for u in us:
-        if u in seen:
-            continue
-        reps.append(u)
-        seen.update(u * v % n for v in squares)
-    return len(reps), reps
+    u = 0
+    while len(reps) < count:
+        u += 1
+        signs = tuple(jacobi(u, p) for p in primes)
+        if 0 not in signs and signs not in seen:
+            seen.add(signs)
+            reps.append(u)
+    return count, reps

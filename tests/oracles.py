@@ -7,8 +7,10 @@ they check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import cos, gcd, pi
 
+from modcat.cyclic import CyclicCategory
 from modcat.fusion import FusionRing
 
 
@@ -35,6 +37,26 @@ def sqrt_by_search(a: int, modulus: int) -> int | None:
     return None
 
 
+def units(n: int) -> list[int]:
+    """Residues coprime to n, ascending.  units(1) == [0]."""
+    return [u for u in range(n) if gcd(u, n) == 1]
+
+
+def unit_square_orbits_by_search(n: int) -> tuple[int, list[int]]:
+    """Orbits of the units of Z_n under multiplication by unit squares, by
+    sweeping each new orbit out of the units: (count, ascending minima)."""
+    us = units(n)
+    squares = {u * u % n for u in us}
+    seen: set[int] = set()
+    reps: list[int] = []
+    for u in us:
+        if u in seen:
+            continue
+        reps.append(u)
+        seen.update(u * v % n for v in squares)
+    return len(reps), reps
+
+
 def equivalent_by_unit_search(n: int, k1: int, k2: int) -> bool:
     """Exists a unit j with k1 = k2 j^2 (mod n)?"""
     if n == 1:
@@ -42,6 +64,20 @@ def equivalent_by_unit_search(n: int, k1: int, k2: int) -> bool:
     return any(
         (k2 * j * j - k1) % n == 0 for j in range(1, n) if gcd(j, n) == 1
     )
+
+
+def balancing_witness(cat: CyclicCategory) -> tuple[int, int] | None:
+    """First pair (i, j) in row-major order over all n^2 pairs where
+    S_ij theta_i theta_j != theta_{j-i}, in exact fractions; None if the
+    identity holds everywhere."""
+    n, k = cat.n, cat.k
+    theta = [t.frac for t in cat.twists]
+    for i in range(n):
+        for j in range(n):
+            lhs = Fraction(-2 * k * i * j, n) + theta[i] + theta[j]
+            if (lhs - theta[(j - i) % n]).denominator != 1:
+                return i, j
+    return None
 
 
 def associativity_violations(ring: FusionRing) -> list[tuple[int, int, int, int]]:

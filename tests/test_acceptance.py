@@ -33,7 +33,7 @@ from modcat.metaplectic import (
     reconstruct_group,
     so_n2_fusion,
 )
-from modcat.numthy import distinct_primes, units
+from modcat.numthy import distinct_primes
 
 TOL = 1e-9
 
@@ -52,8 +52,24 @@ def coprime_range(n: int):
 
 
 def _orbit_partition(n: int) -> set[frozenset[int]]:
-    squares = {u * u % n for u in units(n)}
-    return {frozenset(u * s % n for s in squares) for u in units(n)}
+    units = coprime_range(n)
+    squares = {u * u % n for u in units}
+    return {frozenset(u * s % n for s in squares) for u in units}
+
+
+def _recombination_failure(n: int, k: int, parts) -> int | None:
+    """First label j of C(n, k) whose twist k j^2 / n is not the sum of the
+    stored factor twists at its CRT coordinates; None if all recombine."""
+    scaled = []  # per factor: inverse of its cofactor, twists in units of 1/n
+    for part in parts:
+        inv = pow(n // part.n, -1, part.n) if part.n > 1 else 0
+        nums = [t.frac.numerator * (n // t.frac.denominator) for t in part.twists]
+        scaled.append((inv, part.n, nums))
+    for j in range(n):
+        total = sum(nums[j * inv % pn] for inv, pn, nums in scaled)
+        if (k * j * j - total) % n:
+            return j
+    return None
 
 
 def test_criterion_1_classification_count():
@@ -69,9 +85,11 @@ def test_criterion_1_classification_count():
         for k in coprime_range(n):
             by_descriptor.setdefault(canonical_invariant(n, k), set()).add(k)
         ok &= len(by_descriptor) == expected
-        # Exact agreement of the two partitions.
-        orbits = _orbit_partition(n) if n > 1 else {frozenset({0})}
+        # Exact agreement of the two partitions; the representatives are
+        # the orbit minima.
+        orbits = _orbit_partition(n)
         ok &= {frozenset(v) for v in by_descriptor.values()} == orbits
+        ok &= reps == sorted(min(orbit) for orbit in orbits)
     assert _report(1, "classification count", ok)
 
 
@@ -126,9 +144,10 @@ def test_criterion_6_direct_product_decomposition():
     ok = True
     for n in range(1, 226, 2):
         for k in coprime_range(n):
-            parts = decompose(n, k)  # asserts exact twist recombination
+            parts = decompose(n, k)
             ok &= math.prod(p.n for p in parts) == max(n, 1)
             ok &= all(p.k == k * (n // p.n) % p.n for p in parts) or n == 1
+            ok &= _recombination_failure(n, k, parts) is None
     for m in range(1, 46, 2):
         for n in range(m + 2, 46, 2):
             if gcd(m, n) != 1:

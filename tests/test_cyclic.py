@@ -34,10 +34,11 @@ from modcat.cyclic import (
     verify_balancing,
     verify_modular_relations,
 )
-from modcat.numthy import distinct_primes, units
-from tests.oracles import equivalent_by_unit_search
+from modcat.numthy import distinct_primes
+from tests.oracles import balancing_witness, equivalent_by_unit_search, units
 
 odd_n = st.integers(min_value=0, max_value=60).map(lambda i: 2 * i + 1)
+odd_n_to_10000 = st.integers(min_value=0, max_value=4999).map(lambda i: 2 * i + 1)
 
 
 def coprime_pair(n: int, seed: int) -> int:
@@ -207,13 +208,13 @@ def test_balancing_passes_on_valid_data():
 def test_balancing_catches_corrupted_twist():
     cat = build_cyclic(5, 1)
     twists = list(cat.twists)
-    twists[2] = Phase.of(3, 5)  # denominator divides n: integer fast path
+    twists[2] = Phase.of(3, 5)  # denominator divides n
     report = verify_balancing(replace(cat, twists=tuple(twists)))
     assert not report.passed
     assert report.witness is not None
 
     twists = list(cat.twists)
-    twists[1] = Phase.of(1, 7)  # denominator does not divide n: fraction path
+    twists[1] = Phase.of(1, 7)  # foreign denominator: compared over lcm(5, 7)
     report = verify_balancing(replace(cat, twists=tuple(twists)))
     assert not report.passed
 
@@ -222,6 +223,55 @@ def test_balancing_catches_corrupted_twist():
 @settings(max_examples=60)
 def test_balancing_property(n, seed):
     assert verify_balancing(build_cyclic(n, coprime_pair(n, seed))).passed
+
+
+def _twists_with(n: int, k: int, shifts: dict[int, Fraction]) -> CyclicCategory:
+    """C(n, k) built directly (any n, even included) with the twist of
+    each label in shifts moved by the given amount."""
+    twists = tuple(
+        Phase(Fraction(k * j * j, n) + shifts.get(j, Fraction(0))) for j in range(n)
+    )
+    return CyclicCategory(n=n, k=k, twists=twists)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=10**6),
+    data=st.data(),
+)
+@settings(max_examples=300)
+def test_balancing_verdict_and_witness_match_all_pairs_oracle(n, seed, data):
+    k = coprime_pair(n, seed)
+    labels = st.integers(min_value=0, max_value=n - 1)
+    kind = data.draw(
+        st.sampled_from(
+            ["valid", "off_by_1/n", "denominator_2n", "label_0", "several", "j/2"]
+        )
+    )
+    if kind == "valid":
+        shifts = {}
+    elif kind == "j/2":
+        # A character of order 2 added to every twist: it keeps every pair
+        # balanced exactly when n is even.
+        shifts = {j: Fraction(j, 2) for j in range(n)}
+    elif kind == "off_by_1/n":
+        shifts = {data.draw(labels): Fraction(1, n)}
+    elif kind == "denominator_2n":
+        shifts = {data.draw(labels): Fraction(1, 2 * n)}
+    elif kind == "label_0":
+        shifts = {0: Fraction(data.draw(st.integers(1, 2 * n - 1)), 2 * n)}
+    else:
+        amounts = st.builds(
+            Fraction, st.integers(1, 20), st.sampled_from([n, 2 * n, 3, 7])
+        )
+        shifts = data.draw(
+            st.dictionaries(labels, amounts, min_size=min(n, 2), max_size=6)
+        )
+    cat = _twists_with(n, k, shifts)
+    report = verify_balancing(cat)
+    witness = balancing_witness(cat)
+    assert report.passed == (witness is None)
+    assert report.witness == witness
 
 
 # --------------------------------------------------------------- Gauss sums
@@ -275,8 +325,12 @@ def test_are_equivalent_rejects_degenerate():
         are_equivalent(9, 3, 1)
 
 
-@given(n=odd_n, s1=st.integers(0, 10**6), s2=st.integers(0, 10**6))
-@settings(max_examples=150)
+@given(
+    n=st.one_of(odd_n, odd_n_to_10000),
+    s1=st.integers(0, 10**6),
+    s2=st.integers(0, 10**6),
+)
+@settings(max_examples=200)
 def test_equivalence_matches_unit_search_oracle(n, s1, s2):
     k1, k2 = coprime_pair(n, s1), coprime_pair(n, s2)
     assert are_equivalent(n, k1, k2) == equivalent_by_unit_search(n, k1, k2)
@@ -367,6 +421,7 @@ def test_braided_autos_preserve_twists():
 def test_braided_autos_size_and_particle_hole():
     for n in range(1, 226, 2):
         autos = braided_autos(n, 1)
+        assert autos == [u for u in units(n) if u * u % n == 1 % n]
         assert (n - 1) % n in autos
         assert len(autos) == 2 ** len(distinct_primes(n)) if n > 1 else len(autos) == 1
 
@@ -471,3 +526,13 @@ def test_category_json_roundtrip():
     data = cat.to_json_dict()
     assert data["twists"][0] == "0/1"
     assert CyclicCategory.from_json_dict(data) == cat
+
+
+def test_category_rejects_wrong_twist_count():
+    twists = build_cyclic(5, 1).twists
+    for bad in (twists[:4], twists + (Phase.of(0),)):
+        with pytest.raises(ValueError, match="one twist per label"):
+            CyclicCategory(n=5, k=1, twists=bad)
+        data = {"n": 5, "k": 1, "twists": [str(t) for t in bad]}
+        with pytest.raises(ValueError, match="one twist per label"):
+            CyclicCategory.from_json_dict(data)

@@ -4,17 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.numthy import (
-    _sqrt_mod_lift,
-    _sqrt_mod_search,
     distinct_primes,
     factorize,
     is_prime,
     jacobi,
     sqrt_mod_prime_power,
     unit_square_orbits,
+)
+from tests.oracles import (
+    is_prime_trial,
+    quadratic_residues,
+    sqrt_by_search,
+    unit_square_orbits_by_search,
     units,
 )
-from tests.oracles import is_prime_trial, quadratic_residues, sqrt_by_search
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -114,26 +117,22 @@ def test_sqrt_mod_prime_power_rejects_bad_inputs():
 
 
 def test_sqrt_paths_agree_on_overlap():
-    # Exhaustive search and Tonelli-Shanks + Hensel on the same moduli.
+    # Exhaustive search (oracle) and Tonelli-Shanks + Hensel on the same moduli.
     cases = [(3, 1), (3, 2), (3, 4), (5, 1), (5, 3), (7, 2), (11, 2), (13, 1)]
     for p, e in cases:
         pe = p**e
         for a in range(pe):
-            lo = _sqrt_mod_search(a, p, e)
-            hi = _sqrt_mod_lift(a, p, e)
+            lo = sqrt_by_search(a, pe)
+            hi = sqrt_mod_prime_power(a, p, e)
             assert (lo is None) == (hi is None), (a, p, e)
             if hi is not None:
                 assert hi * hi % pe == a
-            if lo is not None:
-                assert lo * lo % pe == a
 
 
 def test_sqrt_solvability_matches_jacobi():
     for p in ODD_PRIMES:
         for e in (1, 2):
             pe = p**e
-            if pe > 10_000:
-                continue
             for a in range(1, pe):
                 if a % p == 0:
                     continue
@@ -190,13 +189,15 @@ def test_unit_square_orbit_count_small_exhaustive():
         assert count == 2 ** len(distinct_primes(n)) if n > 1 else count == 1
         assert count == len(reps)
         assert all(gcd(r, n) == 1 for r in reps) or n == 1
+        assert (count, reps) == unit_square_orbits_by_search(n)
 
 
 @given(st.integers(min_value=751, max_value=5000).map(lambda i: 2 * i + 1))
 @settings(max_examples=60)
 def test_unit_square_orbit_count_sampled(n):
-    count, _ = unit_square_orbits(n)
+    count, reps = unit_square_orbits(n)
     assert count == 2 ** len(distinct_primes(n))
+    assert (count, reps) == unit_square_orbits_by_search(n)
 
 
 def test_orbit_representatives_are_inequivalent():
