@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from modcat.fusion import fp_dimensions
+from modcat.fusion import fp_dimensions, verify_fusion_ring
 from modcat.metaplectic import (
     condense_z2,
     count_metaplectic,
@@ -24,7 +24,7 @@ from modcat.metaplectic import (
 
 def demo(n: int) -> None:
     ring = so_n2_fusion(n)
-    report = ring.verification()
+    report = verify_fusion_ring(ring)
     dims = fp_dimensions(ring)
     print(f"SO({n})_2: rank {ring.rank}, axioms "
           f"{'pass' if report.all_passed else 'FAIL'}")

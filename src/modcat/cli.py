@@ -162,7 +162,7 @@ def _cmd_so2_fusion(args) -> CommandResult:
 
 def _cmd_so2_verify(args) -> CommandResult:
     ring = metaplectic.so_n2_fusion(args.n)
-    report = ring.verification()
+    report = fusion.verify_fusion_ring(ring)
     payload = {"N": args.n, **report.to_json_dict()}
     table = _render_report(f"SO({args.n})_2", report)
     return CommandResult(0 if report.all_passed else 2, payload, table)

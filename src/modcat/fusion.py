@@ -3,12 +3,16 @@ Frobenius-Perron dimensions, universal grading, and subring extraction.
 
 A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
-Labels are display metadata only; all semantics are by index.
+Labels are display metadata only; all semantics are by index.  Rings are
+immutable, so their derived data and axiom report are computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -19,22 +23,25 @@ class InvalidFusionRingError(ValueError):
     """An operation required a ring that passes axiom verification."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionRing:
-    """Sparse fusion-ring data.  Treat instances as immutable.
+    """Sparse fusion-ring data, immutable.
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
+    rank * max(m)^2 < 2^53 keeps every float64 axiom sum exact.
     """
 
     rank: int
     labels: tuple[str, ...]
     dual: tuple[int, ...]
-    coeffs: Coeffs
-    _tensor: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _rows: list | None = field(default=None, repr=False, compare=False)
-    _report: "FusionReport | None" = field(default=None, repr=False, compare=False)
+    coeffs: Mapping[tuple[int, int, int], int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "dual", tuple(self.dual))
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        if type(self.rank) is not int or self.rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if len(self.labels) != self.rank or len(self.dual) != self.rank:
             raise ValueError("labels and dual must have length rank")
         if sorted(set(self.dual)) != list(range(self.rank)):
@@ -44,6 +51,8 @@ class FusionRing:
                 raise ValueError(f"coefficient index out of range: {(i, j, k)}")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
+        if self.rank * max(self.coeffs.values(), default=0) ** 2 >= 2**53:
+            raise ValueError("multiplicities too large: need rank * max(m)^2 < 2^53")
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.coeffs.get((i, j, k), 0)
@@ -53,31 +62,33 @@ class FusionRing:
 
         Returns a shared internal dict; do not mutate.
         """
-        if self._rows is None:
-            rows: list = [[{} for _ in range(self.rank)] for _ in range(self.rank)]
-            for (a, b, k), m in self.coeffs.items():
-                rows[a][b][k] = m
-            self._rows = rows
         return self._rows[i][j]
 
-    def tensor(self) -> np.ndarray:
-        """Dense (rank, rank, rank) coefficient tensor, cached."""
-        if self._tensor is None:
-            t = np.zeros((self.rank,) * 3)
-            for (i, j, k), m in self.coeffs.items():
-                t[i, j, k] = m
-            self._tensor = t
-        return self._tensor
+    @cached_property
+    def _rows(self) -> list[list[dict[int, int]]]:
+        rows: list = [[{} for _ in range(self.rank)] for _ in range(self.rank)]
+        for (a, b, k), m in self.coeffs.items():
+            rows[a][b][k] = m
+        return rows
 
-    def verification(self) -> "FusionReport":
-        if self._report is None:
-            self._report = verify_fusion_ring(self)
-        return self._report
+    @cached_property
+    def _tensor(self) -> np.ndarray:
+        """Dense (rank, rank, rank) float coefficient tensor."""
+        t = np.zeros((self.rank,) * 3)
+        for (i, j, k), m in self.coeffs.items():
+            t[i, j, k] = m
+        return t
+
+    @cached_property
+    def _report(self) -> "FusionReport":
+        return _check_axioms(self)
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled; rebuild from a dict
+        return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs))
 
     def require_verified(self) -> None:
-        report = self.verification()
-        if not report.all_passed:
-            bad = ", ".join(c.name for c in report.checks if not c.passed)
+        if not self._report.all_passed:
+            bad = ", ".join(c.name for c in self._report.checks if not c.passed)
             raise InvalidFusionRingError(f"fusion axioms violated: {bad}")
 
     def with_coefficient(self, i: int, j: int, k: int, m: int) -> "FusionRing":
@@ -100,23 +111,18 @@ class FusionRing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
-        coeffs = {(i, j, k): m for i, j, k, m in data["N"]}
-        return cls(
-            rank=int(data["rank"]),
-            labels=tuple(str(s) for s in data["labels"]),
-            dual=tuple(int(d) for d in data["dual"]),
-            coeffs=coeffs,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FusionRing):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.labels == other.labels
-            and self.dual == other.dual
-            and self.coeffs == other.coeffs
-        )
+        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        labels, dual, rows = data["labels"], data["dual"], data["N"]
+        if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+            raise ValueError("labels must be a list of strings")
+        if not isinstance(dual, list) or any(type(d) is not int for d in dual):
+            raise ValueError("dual must be a list of integers")
+        if any(type(x) is not int for row in rows for x in row):
+            raise ValueError("N rows must be integer [i, j, k, multiplicity]")
+        coeffs = {(i, j, k): m for i, j, k, m in rows}
+        if len(coeffs) != len(rows):
+            raise ValueError("duplicate [i, j, k] rows in N")
+        return cls(data["rank"], labels, dual, coeffs)
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,15 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     """Check the fusion axioms; failures are data (witnesses), not errors.
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
-    associativity over all index quadruples.  The associativity identity
-    sum_m N_ij^m N_mk^l == sum_m N_jk^m N_im^l is evaluated as a dense
-    tensor contraction; all entries are small integers, exact in float64.
+    associativity over all index quadruples.  Computed once per ring.
     """
-    t = ring.tensor()
+    return ring._report
+
+
+def _check_axioms(ring: FusionRing) -> FusionReport:
+    """FusionRing._report.  Associativity, sum_m N_ij^m N_mk^l == sum_m
+    N_jk^m N_im^l, runs one i at a time in O(rank^3) memory."""
+    t = ring._tensor
     r = ring.rank
     dual = list(ring.dual)
     eye = np.eye(r)
@@ -199,10 +209,14 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     w = _first_mismatch(t, t.transpose(1, 0, 2))
     checks.append(AxiomCheck("commutativity", w is None, w))
 
-    lhs = np.tensordot(t, t, axes=([2], [0]))  # (i,j,k,l) = sum_m t[i,j,m] t[m,k,l]
-    rhs = np.tensordot(t, t, axes=([2], [1]))  # (j,k,i,l) = sum_m t[j,k,m] t[i,m,l]
-    rhs = rhs.transpose(2, 0, 1, 3)
-    w = _first_mismatch(lhs, rhs)
+    w = None
+    for i in range(r):
+        lhs = t[i] @ t.reshape(r, r * r)  # (j, k*r + l) = sum_m t[i,j,m] t[m,k,l]
+        rhs = t.reshape(r * r, r) @ t[i]  # (j*r + k, l) = sum_m t[j,k,m] t[i,m,l]
+        jkl = _first_mismatch(lhs.reshape(r, r, r), rhs.reshape(r, r, r))
+        if jkl is not None:
+            w = (i, *jkl)
+            break
     checks.append(AxiomCheck("associativity", w is None, w))
 
     return FusionReport(tuple(checks))
@@ -216,7 +230,7 @@ def fp_dimensions(ring: FusionRing) -> list[float]:
     eigenvalue.  Requires a ring that passes verification.
     """
     ring.require_verified()
-    t = ring.tensor()
+    t = ring._tensor
     return [float(np.max(np.linalg.eigvals(t[i]).real)) for i in range(ring.rank)]
 
 
@@ -239,22 +253,16 @@ class GradingResult:
     cyclic: bool
 
 
-def _adjoint_closure(ring: FusionRing) -> set[int]:
-    """Smallest fusion-closed set containing all components of i (x) i*."""
-    adjoint = {0}
-    for i in range(ring.rank):
-        adjoint.update(ring.fuse(i, ring.dual[i]))
-    frontier = list(adjoint)
+def _closure(ring: FusionRing, seeds: set[int]) -> set[int]:
+    """Smallest fusion- and dual-closed set containing the unit and seeds."""
+    closed = {0} | set(seeds) | {ring.dual[s] for s in seeds}
+    frontier = list(closed)
     while frontier:
-        fresh: set[int] = set()
-        for a in adjoint:
-            for b in frontier:
-                for c in ring.fuse(a, b):
-                    if c not in adjoint and c not in fresh:
-                        fresh.add(c)
-        adjoint.update(fresh)
+        fresh = {c for a in closed for b in frontier for c in ring.fuse(a, b)} - closed
+        fresh |= {ring.dual[c] for c in fresh} - closed
+        closed |= fresh
         frontier = list(fresh)
-    return adjoint
+    return closed
 
 
 def universal_grading(ring: FusionRing) -> GradingResult:
@@ -265,7 +273,8 @@ def universal_grading(ring: FusionRing) -> GradingResult:
     grades) whenever it is.
     """
     ring.require_verified()
-    adjoint = _adjoint_closure(ring)
+    seeds = {c for i in range(ring.rank) for c in ring.fuse(i, ring.dual[i])}
+    adjoint = _closure(ring, seeds)  # the components of every i (x) i*
 
     component = [-1] * ring.rank
     comp_members: list[list[int]] = []
@@ -324,18 +333,7 @@ def subring_generated(ring: FusionRing, generators: set[int]) -> FusionRing:
     ring.require_verified()
     if not generators:
         raise ValueError("need at least one generator")
-    closed = {0} | {ring.dual[g] for g in generators} | set(generators)
-    frontier = list(closed)
-    while frontier:
-        fresh: set[int] = set()
-        for a in closed:
-            for b in frontier:
-                for c in ring.fuse(a, b):
-                    if c not in closed and c not in fresh:
-                        fresh.add(c)
-                        fresh.add(ring.dual[c])
-        closed.update(fresh)
-        frontier = list(fresh)
+    closed = _closure(ring, generators)
     kept = sorted(closed)
     index = {old: new for new, old in enumerate(kept)}
     coeffs = {

@@ -35,8 +35,8 @@ def so_n2_fusion(n: int) -> FusionRing:
     Simples: 1, Z, X1, X2, Y_1..Y_{(N-1)/2}, all self-dual.  Z swaps the
     two X's and fixes every Y; the X's square to 1 plus all Y's and mix
     to Z plus all Y's; Y_i (x) Y_j = Y_min(i+j, N-i-j) + Y_|i-j| with
-    Y_i^2 = 1 + Z + Y_min(2i, N-2i).  Cached; treat the result as
-    immutable.
+    Y_i^2 = 1 + Z + Y_min(2i, N-2i).  Cached; every caller shares one
+    immutable ring, so it is verified at most once.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
@@ -121,13 +121,13 @@ class CondensedData:
     """Sector decomposition after condensing an invertible boson z.
 
     d0 is the identity sector (trivial residual grade), d1 everything
-    else.  Keeps a handle on the parent ring and the z-action for the
-    group-law reconstruction."""
+    else.  ring and z are the parent ring and the condensed boson, which
+    the group-law reconstruction reads."""
 
     d0: tuple[CondensedObject, ...]
     d1: tuple[CondensedObject, ...]
-    ring: FusionRing | None = None
-    z: int | None = None
+    ring: FusionRing
+    z: int
     warnings: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
@@ -265,8 +265,6 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     (defensively) with a witnessing pair on inconsistent input.
     """
     ring, z = data.ring, data.z
-    if ring is None or z is None:
-        raise GroupReconstructionError("condensed data lost its parent ring")
     order = len(data.d0)
     unit_positions = [p for p, o in enumerate(data.d0) if 0 in o.sources]
     if len(unit_positions) != 1 or data.d1 == ():

@@ -25,7 +25,12 @@ from modcat.cyclic import (
     modular_relation_residuals,
     verify_balancing,
 )
-from modcat.fusion import dihedral_fusion, fp_dimensions, subring_generated
+from modcat.fusion import (
+    dihedral_fusion,
+    fp_dimensions,
+    subring_generated,
+    verify_fusion_ring,
+)
 from modcat.metaplectic import (
     condense_z2,
     count_metaplectic,
@@ -106,7 +111,7 @@ def test_criterion_3_so_n2_fusion_validity():
     ok = True
     for n in range(3, 100, 2):
         ring = so_n2_fusion(n)
-        ok &= ring.verification().all_passed
+        ok &= verify_fusion_ring(ring).all_passed
         dims = fp_dimensions(ring)
         root = math.sqrt(n)
         expected = [1.0, 1.0, root, root] + [2.0] * ((n - 1) // 2)

@@ -209,3 +209,28 @@ def test_cli_error_goes_to_stderr():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "degenerate form" in proc.stderr
+
+
+# ------------------------------------------------------- strict ring data
+
+
+TRIVIAL_RING = {"rank": 1, "labels": ["1"], "dual": [0], "N": [[0, 0, 0, 1]]}
+LOOSE_RINGS = {
+    "bool-multiplicity": {"N": [[0, 0, 0, True]]},
+    "float-multiplicity": {"N": [[0, 0, 0, 1.5]]},
+    "duplicate-row": {"N": [[0, 0, 0, 2], [0, 0, 0, 1]]},
+    "string-rank": {"rank": "1"},
+    "string-labels": {"labels": "1"},
+    "string-dual": {"dual": "0"},
+    "float-index": {"N": [[0.0, 0, 0, 1]]},
+    "rank-zero": {"rank": 0, "labels": [], "dual": [], "N": []},
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOSE_RINGS))
+def test_ring_verify_rejects_loose_data(tmp_path, case):
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({**TRIVIAL_RING, **LOOSE_RINGS[case]}))
+    result = run(["ring", "verify", "--file", str(path)])
+    assert result.status == 1
+    assert "cannot load fusion ring" in result.table

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,14 +53,66 @@ def test_incremented_coefficient_breaks_associativity():
 
 
 def test_vectorized_check_matches_bruteforce_oracle():
+    failing = 0
     for ring in (pointed_cyclic_ring(6), so_n2_fusion(5), dihedral_fusion(9)):
         assert associativity_violations(ring) == []
         assert verify_fusion_ring(ring).all_passed
-    broken = so_n2_fusion(5).with_coefficient(4, 4, 4, 1)
-    oracle_bad = set(associativity_violations(broken))
-    check = verify_fusion_ring(broken).check("associativity")
-    assert not check.passed
-    assert check.witness in oracle_bad
+        for i, j, k in ((4, 4, 4), (1, 2, 3), (2, 3, 1), (3, 3, 0), (5, 1, 5)):
+            for m in (0, ring.n(i, j, k) + 1):
+                broken = ring.with_coefficient(i, j, k, m)
+                oracle_bad = associativity_violations(broken)
+                check = verify_fusion_ring(broken).check("associativity")
+                assert check.passed == (not oracle_bad)
+                if oracle_bad:
+                    failing += 1
+                    assert check.witness == min(oracle_bad)
+    assert failing >= 20
+
+
+def test_multiplicity_exactness_bound():
+    # Associative only up to float64 rounding: at (0,0,1,1) the two sides
+    # are (2^30+2)(2^30+3) + (2^30+1) and (2^30+3)^2, which differ by 2.
+    big = 2**30
+    with pytest.raises(ValueError, match="2\\^53"):
+        FusionRing(
+            rank=2,
+            labels=("a", "b"),
+            dual=(0, 1),
+            coeffs={
+                (0, 0, 0): big + 2,
+                (0, 0, 1): 1,
+                (0, 1, 1): big + 3,
+                (1, 0, 1): big + 3,
+                (1, 1, 1): big + 1,
+            },
+        )
+
+    def golden(m):  # x^2 = 1 + m x: a valid rank-2 ring
+        coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): m}
+        return FusionRing(rank=2, labels=("1", "x"), dual=(0, 1), coeffs=coeffs)
+
+    assert 2 * (2**26 - 1) ** 2 < 2**53 == 2 * (2**26) ** 2
+    assert verify_fusion_ring(golden(2**26 - 1)).all_passed
+    with pytest.raises(ValueError):
+        golden(2**26)
+
+
+def test_ring_is_immutable_and_verified_once():
+    ring = pointed_cyclic_ring(4)
+    report = verify_fusion_ring(ring)
+    assert verify_fusion_ring(ring) is report
+    with pytest.raises(TypeError):
+        ring.coeffs[(0, 0, 0)] = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring.rank = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ring._report = report
+    broken = ring.with_coefficient(0, 1, 1, 2)
+    assert not verify_fusion_ring(broken).check("unit").passed
+    assert verify_fusion_ring(ring) is report and report.all_passed
+    listed = FusionRing(rank=1, labels=["1"], dual=[0], coeffs={(0, 0, 0): 1})
+    assert listed.labels == ("1",) and listed.dual == (0,)
+    assert pickle.loads(pickle.dumps(ring)) == copy.deepcopy(ring) == ring
 
 
 def test_unit_and_dual_failures_have_witnesses():
@@ -86,6 +141,8 @@ def test_commutativity_failure():
 
 def test_structural_validation_at_construction():
     with pytest.raises(ValueError):
+        FusionRing(rank=0, labels=(), dual=(), coeffs={})
+    with pytest.raises(ValueError):
         FusionRing(rank=2, labels=("1",), dual=(0, 1), coeffs={})
     with pytest.raises(ValueError):
         FusionRing(rank=2, labels=("1", "g"), dual=(0, 0), coeffs={})
@@ -99,7 +156,7 @@ def test_structural_validation_at_construction():
 @settings(max_examples=24)
 def test_pointed_rings_verify_and_have_unit_dimensions(n):
     ring = pointed_cyclic_ring(n)
-    assert ring.verification().all_passed
+    assert verify_fusion_ring(ring).all_passed
     dims = fp_dimensions(ring)
     assert all(abs(d - 1.0) < 1e-9 for d in dims)
 
@@ -203,7 +260,7 @@ def test_dihedral_matches_character_table_oracle():
     for n in (3, 5, 7, 9, 11, 13):
         ring = dihedral_fusion(n)
         assert ring.coeffs == dihedral_character_coeffs(n)
-        assert ring.verification().all_passed
+        assert verify_fusion_ring(ring).all_passed
 
 
 def test_dihedral_equals_y1_subring():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.cyclic import canonical_invariant, classify
-from modcat.fusion import FusionRing, pointed_cyclic_ring
+from modcat.fusion import FusionRing, pointed_cyclic_ring, verify_fusion_ring
 from modcat.metaplectic import (
     CondensationInputError,
     CondensedData,
@@ -71,7 +71,7 @@ def test_so_n2_rejects_bad_n():
 def test_so_n2_verifies_and_rank(n):
     ring = so_n2_fusion(n)
     assert ring.rank == (n + 7) // 2
-    assert ring.verification().all_passed
+    assert verify_fusion_ring(ring).all_passed
 
 
 # ------------------------------------------------------------ condensation
@@ -166,7 +166,7 @@ def test_condense_flags_odd_dimension_splits():
             (3, 3, 0): 1, (3, 3, 1): 1, (3, 3, 3): 1,
         },
     )
-    assert ring.verification().all_passed
+    assert verify_fusion_ring(ring).all_passed
     data = condense_z2(ring, 1)
     assert len(data.warnings) == 1 and "w" in data.warnings[0]
     fixed_w = [o for o in data.d0 + data.d1 if o.sources == (2,)]
