@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 from . import cyclic, fusion, metaplectic
 
+MAX_RANK = 150  # SO(293)_2 verifies in about 10 s; the time grows as rank^5
+MAX_N = 10**6  # cyclic build, bosons, condense and double make all n twists
+
 
 @dataclass(frozen=True)
 class CommandResult:
@@ -43,12 +46,23 @@ def _parse_subgroup(text: str) -> list[int]:
         raise _ArgumentError(f"bad subgroup element list {text!r}") from exc
 
 
+def _limit(what: str, value: int, name: str, limit: int) -> int:
+    if value > limit:
+        raise _ArgumentError(f"{what} = {value} is above the limit {name} = {limit}")
+    return value
+
+
+def _so2_ring(n: int) -> fusion.FusionRing:
+    _limit(f"rank of SO({n})_2", (n + 7) // 2, "MAX_RANK", MAX_RANK)
+    return metaplectic.so_n2_fusion(n)
+
+
 def _twist_lines(cat: cyclic.CyclicCategory) -> list[str]:
     return [f"  theta[{j}] = {t}" for j, t in enumerate(cat.twists)]
 
 
 def _cmd_cyclic_build(args) -> CommandResult:
-    cat = cyclic.build_cyclic(args.n, args.k)
+    cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     table = "\n".join([f"C({cat.n},{cat.k}): modular, rank {cat.n}"] + _twist_lines(cat))
     return CommandResult(0, cat.to_json_dict(), table)
 
@@ -98,7 +112,7 @@ def _cmd_cyclic_autos(args) -> CommandResult:
 
 
 def _cmd_cyclic_bosons(args) -> CommandResult:
-    cat = cyclic.build_cyclic(args.n, args.k)
+    cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     bosons = cyclic.find_bosons(cat)
     payload = {"n": args.n, "k": cat.k, "bosons": bosons}
     table = f"bosons of C({args.n},{cat.k}): " + ", ".join(str(b) for b in bosons)
@@ -117,7 +131,7 @@ def _cmd_cyclic_decompose(args) -> CommandResult:
 
 
 def _cmd_cyclic_condense(args) -> CommandResult:
-    cat = cyclic.build_cyclic(args.n, args.k)
+    cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     outcome = cyclic.condense_subgroup(cat, _parse_subgroup(args.subgroup))
     payload = {"n": args.n, "k": cat.k, **outcome.to_json_dict()}
     lines = [
@@ -130,7 +144,7 @@ def _cmd_cyclic_condense(args) -> CommandResult:
 
 
 def _cmd_cyclic_double(args) -> CommandResult:
-    cat = cyclic.build_cyclic(args.n, args.k)
+    cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     witness = cyclic.find_lagrangian_subgroup(cat)
     payload = {
         "n": args.n,
@@ -149,7 +163,7 @@ def _cmd_cyclic_double(args) -> CommandResult:
 
 
 def _cmd_so2_fusion(args) -> CommandResult:
-    ring = metaplectic.so_n2_fusion(args.n)
+    ring = _so2_ring(args.n)
     lines = [f"SO({args.n})_2 fusion ring, rank {ring.rank}"]
     for i in range(1, ring.rank):
         for j in range(i, ring.rank):
@@ -161,7 +175,7 @@ def _cmd_so2_fusion(args) -> CommandResult:
 
 
 def _cmd_so2_verify(args) -> CommandResult:
-    ring = metaplectic.so_n2_fusion(args.n)
+    ring = _so2_ring(args.n)
     report = fusion.verify_fusion_ring(ring)
     payload = {"N": args.n, **report.to_json_dict()}
     table = _render_report(f"SO({args.n})_2", report)
@@ -169,7 +183,7 @@ def _cmd_so2_verify(args) -> CommandResult:
 
 
 def _cmd_so2_condense(args) -> CommandResult:
-    ring = metaplectic.so_n2_fusion(args.n)
+    ring = _so2_ring(args.n)
     data = metaplectic.condense_z2(ring, 1)
     group = metaplectic.reconstruct_group(data)
     ty = metaplectic.is_tambara_yamagami(group.data)
@@ -216,6 +230,7 @@ def _cmd_ring_verify(args) -> CommandResult:
         ring = fusion.FusionRing.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
+    _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)
     report = fusion.verify_fusion_ring(ring)
     payload = report.to_json_dict()
     table = _render_report(args.file, report)

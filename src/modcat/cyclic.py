@@ -11,12 +11,14 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 import numpy as np
 
 from .numthy import factorize, jacobi, unit_square_orbits
+
+MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
 
 
 class UnsupportedModulusError(ValueError):
@@ -85,9 +87,6 @@ class Phase:
 
     def __str__(self) -> str:
         return f"{self.frac.numerator}/{self.frac.denominator}"
-
-
-ZERO_PHASE = Phase(Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -181,20 +180,12 @@ def bilinear(cat: CyclicCategory, x: int, y: int) -> Phase:
     return Phase.of(2 * cat.k * x * y, cat.n)
 
 
-def is_nondegenerate(cat: CyclicCategory) -> bool:
-    """Brute-force non-degeneracy of the bilinear form: every x != 0 pairs
-    non-trivially with some y."""
-    for x in range(1, cat.n):
-        if all((2 * cat.k * x * y) % cat.n == 0 for y in range(cat.n)):
-            return False
-    return True
-
-
 def smatrix(cat: CyclicCategory) -> list[list[Phase]]:
     """Unnormalized S-matrix as exact phases: entry (i, j) is the phase of
     S_ij, namely -2 k i j / n (mod 1); the scalar 1/sqrt(n) is implied."""
     n, k = cat.n, cat.k
-    return [[Phase.of(-2 * k * i * j, n) for j in range(n)] for i in range(n)]
+    phases = [Phase.of(r, n) for r in range(n)]
+    return [[phases[-2 * k * i * j % n] for j in range(n)] for i in range(n)]
 
 
 def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
@@ -356,71 +347,57 @@ def condense_subgroup(
 
     H must be a subgroup of Z_n, consist of bosons (twist 0), and be
     isotropic for the bilinear form; each violation is reported distinctly.
-    Flags the condensation as Lagrangian when H-perp = H.
+    Flags the condensation as Lagrangian when H-perp = H.  A subgroup is
+    H = g Z_n, g = gcd(n, *H): it is isotropic iff b(g, g) = 0, and H-perp
+    = (n / gcd(n, 2 k g)) Z_n.
     """
     n, k = cat.n, cat.k
-    h = sorted(set(x % n for x in subgroup))
+    h = tuple(sorted(set(x % n for x in subgroup)))
     if 0 not in h:
         raise NotASubgroupError("subgroup must contain 0")
-    hset = set(h)
-    for a in h:
-        for b in h:
-            if (a + b) % n not in hset:
-                raise NotASubgroupError(
-                    f"not closed under addition: {a} + {b} escapes the set"
-                )
+    g = gcd(n, *h)
+    if h != tuple(range(0, n, g)):  # not a subgroup: name the first escaping pair
+        hset = set(h)
+        for a in h:
+            for b in h:
+                if (a + b) % n not in hset:
+                    raise NotASubgroupError(
+                        f"not closed under addition: {a} + {b} escapes the set"
+                    )
     for a in h:
         if not cat.twists[a].is_zero:
             raise NonBosonError(f"element {a} has twist {cat.twists[a]}, not a boson")
-    for a in h:
-        for b in h:
-            if (2 * k * a * b) % n != 0:
-                raise NotIsotropicError(f"b({a},{b}) != 0: subgroup is not isotropic")
+    if (2 * k * g * g) % n != 0:  # (g, g) is the first failing pair, row-major
+        raise NotIsotropicError(f"b({g},{g}) != 0: subgroup is not isotropic")
 
-    perp = [j for j in range(n) if all((2 * k * j * a) % n == 0 for a in h)]
+    perp = tuple(range(0, n, n // gcd(n, 2 * k * g)))
     quotient_order = len(perp) // len(h)
-    lagrangian = quotient_order == 1
-    if lagrangian:
-        return CondensationOutcome(
-            subgroup=tuple(h),
-            perp=tuple(perp),
-            generator=0,
-            quotient=build_cyclic(1, 0),
-            lagrangian=True,
-        )
-    gen = perp[1] if len(perp) > 1 else 0
+    if quotient_order == 1:
+        return CondensationOutcome(h, perp, 0, build_cyclic(1, 0), lagrangian=True)
+    gen = perp[1]
     t1 = cat.twists[gen].frac * quotient_order
-    if t1.denominator != 1:  # pragma: no cover - descended form is cyclic
-        raise RuntimeError("descended form does not live on the quotient")
+    if t1.denominator != 1:
+        raise CondensationError("descended form does not live on the quotient")
     k_new = int(t1) % quotient_order
     quotient = build_cyclic(quotient_order, k_new)
     for x in range(quotient_order):
-        if cat.twists[x * gen % n] != quotient.twists[x]:  # pragma: no cover
-            raise RuntimeError(f"descended twist mismatch at {x}")
-    return CondensationOutcome(
-        subgroup=tuple(h),
-        perp=tuple(perp),
-        generator=gen,
-        quotient=quotient,
-        lagrangian=False,
-    )
+        if cat.twists[x * gen % n] != quotient.twists[x]:
+            raise CondensationError(f"descended twist mismatch at {x}")
+    return CondensationOutcome(h, perp, gen, quotient, lagrangian=False)
 
 
 def find_lagrangian_subgroup(cat: CyclicCategory) -> tuple[int, ...] | None:
     """A boson subgroup H with H-perp = H, if any exists.
 
     For odd cyclic n this happens exactly when n is a perfect square and
-    H is the index-sqrt(n) subgroup; the search is still exhaustive over
-    subgroups."""
-    n = cat.n
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        h = list(range(0, n, d))
-        if any(not cat.twists[a].is_zero for a in h):
-            continue
-        if any((2 * cat.k * a * b) % n != 0 for a in h for b in h):
-            continue
-        perp = [j for j in range(n) if all((2 * cat.k * j * a) % n == 0 for a in h)]
-        if perp == h:
+    H is the index-sqrt(n) subgroup.  H = d Z_n equals its perp (n / gcd(n,
+    2 k d)) Z_n, and so is isotropic, iff gcd(n, 2 k d) d = n; H is the
+    first such divisor d, ascending, whose multiples are all bosons."""
+    n, k = cat.n, cat.k
+    divisors = {e for i in range(1, isqrt(n) + 1) if n % i == 0 for e in (i, n // i)}
+    for d in sorted(divisors):
+        h = range(0, n, d)
+        if gcd(n, 2 * k * d) * d == n and all(cat.twists[a].is_zero for a in h):
             return tuple(h)
     return None
 
@@ -431,12 +408,12 @@ def is_quantum_double(cat: CyclicCategory) -> bool:
     return find_lagrangian_subgroup(cat) is not None
 
 
-def verify_modular_relations(cat: CyclicCategory, tol: float = 1e-9) -> bool:
+def verify_modular_relations(cat: CyclicCategory) -> bool:
     """Numeric sanity of the modular data: (S T)^3 = (G / sqrt(n)) S^2 and
-    S^4 = identity, with S the normalized S-matrix, T = diag(twists), and
-    G the Gauss sum."""
+    S^4 = identity within MODULAR_TOL, with S the normalized S-matrix,
+    T = diag(twists), and G the Gauss sum."""
     err1, err2 = modular_relation_residuals(cat)
-    return err1 <= tol and err2 <= tol
+    return err1 <= MODULAR_TOL and err2 <= MODULAR_TOL
 
 
 def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:

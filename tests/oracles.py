@@ -10,7 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import cos, gcd, pi
 
-from modcat.cyclic import CyclicCategory
+from modcat.cyclic import (
+    CondensationError,
+    CondensationOutcome,
+    CyclicCategory,
+    NonBosonError,
+    NotASubgroupError,
+    NotIsotropicError,
+    Phase,
+    build_cyclic,
+)
 from modcat.fusion import FusionRing
 
 
@@ -78,6 +87,78 @@ def balancing_witness(cat: CyclicCategory) -> tuple[int, int] | None:
             if (lhs - theta[(j - i) % n]).denominator != 1:
                 return i, j
     return None
+
+
+def is_nondegenerate(cat: CyclicCategory) -> bool:
+    """Non-degeneracy of the bilinear form: every x != 0 pairs
+    non-trivially with some y."""
+    for x in range(1, cat.n):
+        if all((2 * cat.k * x * y) % cat.n == 0 for y in range(cat.n)):
+            return False
+    return True
+
+
+def smatrix_by_entries(cat: CyclicCategory) -> list[list[Phase]]:
+    """The exact S-matrix with one Phase built per entry."""
+    n, k = cat.n, cat.k
+    return [[Phase.of(-2 * k * i * j, n) for j in range(n)] for i in range(n)]
+
+
+def perp_by_search(cat: CyclicCategory, h: list[int]) -> list[int]:
+    """Labels pairing trivially with every element of h, by scanning Z_n."""
+    n, k = cat.n, cat.k
+    return [j for j in range(n) if all((2 * k * j * a) % n == 0 for a in h)]
+
+
+def lagrangian_subgroup_by_search(cat: CyclicCategory) -> tuple[int, ...] | None:
+    """First subgroup d Z_n, d ascending over the divisors of n, of bosons
+    that is isotropic pair by pair and equals its perp."""
+    n = cat.n
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        h = list(range(0, n, d))
+        if any(not cat.twists[a].is_zero for a in h):
+            continue
+        if any((2 * cat.k * a * b) % n != 0 for a in h for b in h):
+            continue
+        if perp_by_search(cat, h) == h:
+            return tuple(h)
+    return None
+
+
+def condense_by_search(cat: CyclicCategory, subgroup) -> CondensationOutcome:
+    """condense_subgroup with closure and isotropy checked on every pair of
+    H, in row-major order, and H-perp found by scanning Z_n."""
+    n, k = cat.n, cat.k
+    h = sorted(set(x % n for x in subgroup))
+    if 0 not in h:
+        raise NotASubgroupError("subgroup must contain 0")
+    hset = set(h)
+    for a in h:
+        for b in h:
+            if (a + b) % n not in hset:
+                raise NotASubgroupError(
+                    f"not closed under addition: {a} + {b} escapes the set"
+                )
+    for a in h:
+        if not cat.twists[a].is_zero:
+            raise NonBosonError(f"element {a} has twist {cat.twists[a]}, not a boson")
+    for a in h:
+        for b in h:
+            if (2 * k * a * b) % n != 0:
+                raise NotIsotropicError(f"b({a},{b}) != 0: subgroup is not isotropic")
+    perp = perp_by_search(cat, h)
+    order = len(perp) // len(h)
+    if order == 1:
+        return CondensationOutcome(tuple(h), tuple(perp), 0, build_cyclic(1, 0), True)
+    gen = perp[1]
+    t1 = cat.twists[gen].frac * order
+    if t1.denominator != 1:
+        raise CondensationError("descended form does not live on the quotient")
+    quotient = build_cyclic(order, int(t1) % order)
+    for x in range(order):
+        if cat.twists[x * gen % n] != quotient.twists[x]:
+            raise CondensationError(f"descended twist mismatch at {x}")
+    return CondensationOutcome(tuple(h), tuple(perp), gen, quotient, False)
 
 
 def associativity_violations(ring: FusionRing) -> list[tuple[int, int, int, int]]:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from modcat.cli import run
-from modcat.fusion import FusionRing
+from modcat.fusion import FusionRing, pointed_cyclic_ring
 
 
 def payload_of(argv):
@@ -234,3 +234,39 @@ def test_ring_verify_rejects_loose_data(tmp_path, case):
     result = run(["ring", "verify", "--file", str(path)])
     assert result.status == 1
     assert "cannot load fusion ring" in result.table
+
+
+# ------------------------------------------------------------- size limits
+
+
+OVERSIZED = {
+    "cyclic-build": ["cyclic", "build", "1000001", "1"],
+    "cyclic-bosons": ["cyclic", "bosons", "1000003", "1"],
+    "cyclic-condense": ["cyclic", "condense", "1000003", "1", "--subgroup", "0"],
+    "cyclic-double": ["cyclic", "double", "1002001", "1"],
+    "so2-fusion": ["so2", "fusion", "295"],
+    "so2-verify": ["so2", "verify", "295"],
+    "so2-condense": ["so2", "condense", "301"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_exits_one_naming_the_limit(case):
+    result = run(OVERSIZED[case] + ["--format", "json"])
+    assert result.status == 1
+    limit = "MAX_N = 1000000" if case.startswith("cyclic") else "MAX_RANK = 150"
+    assert limit in result.payload["error"]
+
+
+def test_limits_admit_their_boundary():
+    assert run(["so2", "fusion", "293"]).status == 0  # rank 150
+    result = run(["cyclic", "build", "1000000", "1"])  # at MAX_N: refused as even
+    assert result.status == 1 and "even modulus" in result.table
+
+
+def test_ring_verify_refuses_rank_above_limit(tmp_path):
+    path = tmp_path / "rank151.json"
+    path.write_text(json.dumps(pointed_cyclic_ring(151).to_json_dict()))
+    result = run(["ring", "verify", "--file", str(path)])
+    assert result.status == 1
+    assert "rank = 151 is above the limit MAX_RANK = 150" in result.table

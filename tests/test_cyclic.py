@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from modcat.cyclic import (
     ClassDescriptor,
+    CondensationError,
     CyclicCategory,
     DegenerateFormError,
     NonBosonError,
@@ -27,7 +28,6 @@ from modcat.cyclic import (
     find_bosons,
     find_lagrangian_subgroup,
     gauss_sum,
-    is_nondegenerate,
     is_quantum_double,
     smatrix,
     smatrix_complex,
@@ -35,7 +35,15 @@ from modcat.cyclic import (
     verify_modular_relations,
 )
 from modcat.numthy import distinct_primes
-from tests.oracles import balancing_witness, equivalent_by_unit_search, units
+from tests.oracles import (
+    balancing_witness,
+    condense_by_search,
+    equivalent_by_unit_search,
+    is_nondegenerate,
+    lagrangian_subgroup_by_search,
+    smatrix_by_entries,
+    units,
+)
 
 odd_n = st.integers(min_value=0, max_value=60).map(lambda i: 2 * i + 1)
 odd_n_to_10000 = st.integers(min_value=0, max_value=4999).map(lambda i: 2 * i + 1)
@@ -485,6 +493,16 @@ def test_condense_precondition_errors_are_distinct():
         condense_subgroup(fake, set(range(9)))
 
 
+def test_condense_rejects_twists_that_do_not_descend():
+    # Both pass every precondition at H = {0}, so H-perp / H is all of Z_3.
+    fraction_twist = CyclicCategory(3, 1, (Phase.of(0), Phase.of(4, 9), Phase.of(1, 3)))
+    with pytest.raises(CondensationError, match="does not live on the quotient"):
+        condense_subgroup(fraction_twist, {0})
+    wrong_twist = CyclicCategory(3, 1, (Phase.of(0), Phase.of(1, 3), Phase.of(0)))
+    with pytest.raises(CondensationError, match="descended twist mismatch at 2"):
+        condense_subgroup(wrong_twist, {0})
+
+
 def test_condensed_twists_descend_from_perp_cosets():
     cat = build_cyclic(45, 1)
     outcome = condense_subgroup(cat, {0, 15, 30})
@@ -508,6 +526,53 @@ def test_quantum_double_examples():
 def test_quantum_double_negative_cases():
     for n in (3, 5, 27):
         assert not is_quantum_double(build_cyclic(n, 1))
+
+
+def _twist_variants(n: int, k: int):
+    """Twists of C(n, k) as built, and corrupted in ways that reach every
+    branch of condense_subgroup and find_lagrangian_subgroup."""
+    yield _twists_with(n, k, {})
+    yield CyclicCategory(n=n, k=k, twists=tuple(Phase.of(0) for _ in range(n)))
+    yield _twists_with(n, k, {j: Fraction(j, 2) for j in range(n)})
+    if n > 1:
+        yield _twists_with(n, k, {1: Fraction(1, n * n)})
+        yield _twists_with(n, k, {n - 1: Fraction(1, n)})
+        yield _twists_with(n, k, {n // 2: Fraction(1, 2 * n)})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # a CondensationError, or build_cyclic refusing
+        return type(exc), str(exc)
+
+
+def test_subgroup_answers_match_search_oracles():
+    """Every n <= 40 (even n included), every k (non-units included), built
+    and corrupted twists: the Lagrangian subgroup and the outcome of
+    condensing every subgroup and some non-subgroups, error messages
+    included, equal those of the scans in tests/oracles.py."""
+    for n in range(1, 41):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        subsets = [list(range(0, n, d)) for d in divisors]
+        subsets += [[0, 1 % n, n - 1], [1 % n, 2 % n], [0, n // 2, n // 3]]
+        for k in range(n):
+            for variant in _twist_variants(n, k):
+                assert find_lagrangian_subgroup(variant) == (
+                    lagrangian_subgroup_by_search(variant)
+                )
+                for h in subsets:
+                    assert _outcome(condense_subgroup, variant, h) == _outcome(
+                        condense_by_search, variant, h
+                    )
+
+
+@given(n=st.integers(min_value=1, max_value=40), data=st.data())
+@settings(max_examples=200)
+def test_smatrix_matches_entrywise_oracle(n, data):
+    k = data.draw(st.integers(min_value=0, max_value=n - 1))
+    cat = _twists_with(n, k, {})
+    assert smatrix(cat) == smatrix_by_entries(cat)
 
 
 # --------------------------------------------------------- modular relation
