@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import cyclic, fusion, metaplectic
 
 MAX_RANK = 150  # SO(293)_2 verifies in about 10 s; the time grows as rank^5
-MAX_N = 10**6  # cyclic build, bosons, condense and double make all n twists
+MAX_N = 10**6  # cyclic build, bosons, condense, double and decompose hold n twists
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def _so2_ring(n: int) -> fusion.FusionRing:
 
 
 def _twist_lines(cat: cyclic.CyclicCategory) -> list[str]:
-    return [f"  theta[{j}] = {t}" for j, t in enumerate(cat.twists)]
+    return [f"  theta[{j}] = {t}" for j, t in enumerate(cat.to_json_dict()["twists"])]
 
 
 def _cmd_cyclic_build(args) -> CommandResult:
@@ -120,7 +120,7 @@ def _cmd_cyclic_bosons(args) -> CommandResult:
 
 
 def _cmd_cyclic_decompose(args) -> CommandResult:
-    parts = cyclic.decompose(args.n, args.k)
+    parts = cyclic.decompose(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     payload = {
         "n": args.n,
         "k": args.k % args.n,

@@ -2,17 +2,21 @@
 data, Gauss sums, equivalence classification, CRT decomposition, twist
 automorphisms, bosons, subgroup condensation, and quantum-double detection.
 
-All classification decisions run in exact rational arithmetic; complex
-floats appear only in Gauss sums and the numeric modular-relation check.
+A category stores its twists as integer residues over one common
+denominator (n for built categories); `Phase` objects are made only where
+the API hands twists out.  All classification decisions run in exact
+integer arithmetic; complex floats appear only in Gauss sums and the
+numeric modular-relation check.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +57,9 @@ class Phase:
     frac: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frac", self.frac % 1)
+        f = self.frac
+        if not 0 <= f.numerator < f.denominator:  # Fraction % 1 is the slow part
+            object.__setattr__(self, "frac", f % 1)
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "Phase":
@@ -89,30 +95,65 @@ class Phase:
         return f"{self.frac.numerator}/{self.frac.denominator}"
 
 
-@dataclass(frozen=True)
+def phases(denominator: int, residues: Iterable[int]) -> tuple[Phase, ...]:
+    """The phases r / denominator (mod 1) of the given integer residues."""
+    return tuple(Phase.of(r, denominator) for r in residues)
+
+
+@dataclass(frozen=True, init=False)
 class CyclicCategory:
     """Modular data of the cyclic category with twists theta_j = e^{2 pi i
-    k j^2 / n} on the fusion group Z_n.  n odd, k a unit modulo n."""
+    k j^2 / n} on the fusion group Z_n.  n odd, k a unit modulo n.
+
+    The twist of label j is residues[j] / denominator, with residues in
+    [0, denominator) and denominator = lcm(n, every twist denominator), so
+    equal twists give equal fields.  The constructor takes Phase twists;
+    `twists` hands them back, built on first use.
+    """
 
     n: int
     k: int
-    twists: tuple[Phase, ...]
+    residues: tuple[int, ...] = field(init=False)
+    denominator: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        if len(self.twists) != self.n:
-            raise ValueError(
-                f"need one twist per label: n = {self.n}, got {len(self.twists)}"
-            )
+    def __init__(self, n: int, k: int, twists: Sequence[Phase]) -> None:
+        if len(twists) != n:
+            raise ValueError(f"need one twist per label: n = {n}, got {len(twists)}")
+        d = lcm(n, *(t.frac.denominator for t in twists))
+        residues = tuple(t.frac.numerator * (d // t.frac.denominator) for t in twists)
+        self.__dict__.update(n=n, k=k, residues=residues, denominator=d)
+
+    @classmethod
+    def _of_residues(cls, n: int, k: int, residues: tuple[int, ...]) -> "CyclicCategory":
+        """The category with twists residues[j] / n; each residue in [0, n)."""
+        cat = object.__new__(cls)
+        cat.__dict__.update(n=n, k=k, residues=residues, denominator=n)
+        return cat
+
+    @cached_property
+    def twists(self) -> tuple[Phase, ...]:
+        # Through the public `phases`, so a per-layer trace (perfbench
+        # --trace 1) shows where Phase objects are made, even when the
+        # first access is the tracer's own `hasattr(cat, "twists")`.
+        return phases(self.denominator, self.residues)
+
+    def __getstate__(self) -> dict:  # pickles and copies leave the cached twists out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def rank(self) -> int:
         return self.n
 
     def twist(self, j: int) -> Phase:
-        return self.twists[j % self.n]
+        return Phase.of(self.residues[j % self.n], self.denominator)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "twists": [str(t) for t in self.twists]}
+        d = self.denominator
+        twists = []
+        for r in self.residues:
+            g = gcd(r, d)
+            twists.append(f"{r // g}/{d // g}")
+        return {"n": self.n, "k": self.k, "twists": twists}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CyclicCategory":
@@ -168,8 +209,7 @@ def build_cyclic(n: int, k: int) -> CyclicCategory:
     """
     _require_odd(n)
     k = _require_unit(n, k)
-    twists = tuple(Phase.of(k * j * j, n) for j in range(n))
-    return CyclicCategory(n=n, k=k, twists=twists)
+    return CyclicCategory._of_residues(n, k, tuple(k * j * j % n for j in range(n)))
 
 
 def bilinear(cat: CyclicCategory, x: int, y: int) -> Phase:
@@ -216,12 +256,10 @@ def verify_balancing(cat: CyclicCategory) -> BalancingReport:
     forces e_j = -j e_1 with 2 e_1 = n e_1 = 0, and such an e satisfies
     every row, for any n.  So whenever some pair fails, a pair of row 0 or
     row 1 fails, and the first of those is the first in row-major order.
-    Phases are compared as integers over D = lcm(n, every twist
-    denominator); memory is O(n).
+    Phases are compared as the stored residues over their common
+    denominator d, a multiple of n; memory is O(n).
     """
-    n, k = cat.n, cat.k
-    d = lcm(n, *(t.frac.denominator for t in cat.twists))
-    s = [t.frac.numerator * (d // t.frac.denominator) for t in cat.twists]
+    n, k, d, s = cat.n, cat.k, cat.denominator, cat.residues
     per_n = d // n
     for i in range(min(n, 2)):
         for j in range(n):
@@ -303,18 +341,29 @@ def decompose(n: int, k: int) -> list[CyclicCategory]:
 
 def braided_autos(n: int, k: int) -> list[int]:
     """Group automorphisms of Z_n preserving the twists: units u with
-    u^2 = 1 (mod n).  Always contains the particle-hole map u = n - 1."""
+    u^2 = 1 (mod n), ascending.  Always contains the particle-hole map
+    u = n - 1.
+
+    Modulo an odd prime power the only square roots of 1 are +1 and -1, so
+    the 2^s roots modulo n are the CRT combinations of those signs.
+    """
     _require_odd(n)
     _require_unit(n, k)
     if n == 1:
         return [0]
-    return [u for u in range(1, n) if u * u % n == 1]
+    roots, m = [1], 1  # the square roots of 1 modulo m
+    for p, e in factorize(n):
+        pp = p**e
+        inv = pow(m, -1, pp)
+        roots = [a + m * ((b - a) * inv % pp) for a in roots for b in (1, -1)]
+        m *= pp
+    return sorted(roots)
 
 
 def find_bosons(cat: CyclicCategory) -> list[int]:
     """Labels with trivial twist.  All objects are invertible, so these are
     exactly the condensable bosons; they form a subgroup of Z_n."""
-    return [j for j in range(cat.n) if cat.twists[j].is_zero]
+    return [j for j, r in enumerate(cat.residues) if r == 0]
 
 
 @dataclass(frozen=True)
@@ -365,8 +414,8 @@ def condense_subgroup(
                         f"not closed under addition: {a} + {b} escapes the set"
                     )
     for a in h:
-        if not cat.twists[a].is_zero:
-            raise NonBosonError(f"element {a} has twist {cat.twists[a]}, not a boson")
+        if cat.residues[a]:
+            raise NonBosonError(f"element {a} has twist {cat.twist(a)}, not a boson")
     if (2 * k * g * g) % n != 0:  # (g, g) is the first failing pair, row-major
         raise NotIsotropicError(f"b({g},{g}) != 0: subgroup is not isotropic")
 
@@ -375,13 +424,14 @@ def condense_subgroup(
     if quotient_order == 1:
         return CondensationOutcome(h, perp, 0, build_cyclic(1, 0), lagrangian=True)
     gen = perp[1]
-    t1 = cat.twists[gen].frac * quotient_order
-    if t1.denominator != 1:
+    d = cat.denominator
+    t1, rest = divmod(cat.residues[gen] * quotient_order, d)
+    if rest:  # quotient_order * theta_gen is not an integer
         raise CondensationError("descended form does not live on the quotient")
-    k_new = int(t1) % quotient_order
-    quotient = build_cyclic(quotient_order, k_new)
+    quotient = build_cyclic(quotient_order, t1 % quotient_order)
+    dq = quotient.denominator
     for x in range(quotient_order):
-        if cat.twists[x * gen % n] != quotient.twists[x]:
+        if cat.residues[x * gen % n] * dq != quotient.residues[x] * d:
             raise CondensationError(f"descended twist mismatch at {x}")
     return CondensationOutcome(h, perp, gen, quotient, lagrangian=False)
 
@@ -397,7 +447,7 @@ def find_lagrangian_subgroup(cat: CyclicCategory) -> tuple[int, ...] | None:
     divisors = {e for i in range(1, isqrt(n) + 1) if n % i == 0 for e in (i, n // i)}
     for d in sorted(divisors):
         h = range(0, n, d)
-        if gcd(n, 2 * k * d) * d == n and all(cat.twists[a].is_zero for a in h):
+        if gcd(n, 2 * k * d) * d == n and not any(cat.residues[a] for a in h):
             return tuple(h)
     return None
 
@@ -420,7 +470,8 @@ def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
     """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I."""
     n = cat.n
     s = smatrix_complex(cat)
-    theta = np.exp(2j * np.pi * np.array([float(t.frac) for t in cat.twists]))
+    d = cat.denominator  # int / int rounds correctly, as float(Fraction) does
+    theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
     st = s * theta[None, :]
     st3 = st @ st @ st
     s2 = s @ s

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import cos, gcd, pi
 
+import numpy as np
+
 from modcat.cyclic import (
     CondensationError,
     CondensationOutcome,
@@ -19,6 +21,8 @@ from modcat.cyclic import (
     NotIsotropicError,
     Phase,
     build_cyclic,
+    gauss_sum,
+    smatrix_complex,
 )
 from modcat.fusion import FusionRing
 
@@ -49,6 +53,14 @@ def sqrt_by_search(a: int, modulus: int) -> int | None:
 def units(n: int) -> list[int]:
     """Residues coprime to n, ascending.  units(1) == [0]."""
     return [u for u in range(n) if gcd(u, n) == 1]
+
+
+def braided_autos_by_search(n: int) -> list[int]:
+    """Units u of Z_n with u^2 = 1 (mod n), by scanning every residue;
+    [0] for n = 1."""
+    if n == 1:
+        return [0]
+    return [u for u in range(1, n) if u * u % n == 1]
 
 
 def unit_square_orbits_by_search(n: int) -> tuple[int, list[int]]:
@@ -102,6 +114,19 @@ def smatrix_by_entries(cat: CyclicCategory) -> list[list[Phase]]:
     """The exact S-matrix with one Phase built per entry."""
     n, k = cat.n, cat.k
     return [[Phase.of(-2 * k * i * j, n) for j in range(n)] for i in range(n)]
+
+
+def modular_relation_residuals_by_phases(cat: CyclicCategory) -> tuple[float, float]:
+    """modular_relation_residuals with each theta_j taken from
+    float(cat.twists[j].frac), the Phase of the twist."""
+    n = cat.n
+    s = smatrix_complex(cat)
+    theta = np.exp(2j * np.pi * np.array([float(t.frac) for t in cat.twists]))
+    st = s * theta[None, :]
+    s2 = s @ s
+    err1 = float(np.abs(st @ st @ st - gauss_sum(n, cat.k) / np.sqrt(n) * s2).max())
+    err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
+    return err1, err2
 
 
 def perp_by_search(cat: CyclicCategory, h: list[int]) -> list[int]:

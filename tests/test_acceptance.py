@@ -68,7 +68,7 @@ def _recombination_failure(n: int, k: int, parts) -> int | None:
     scaled = []  # per factor: inverse of its cofactor, twists in units of 1/n
     for part in parts:
         inv = pow(n // part.n, -1, part.n) if part.n > 1 else 0
-        nums = [t.frac.numerator * (n // t.frac.denominator) for t in part.twists]
+        nums = [r * (n // part.denominator) for r in part.residues]
         scaled.append((inv, part.n, nums))
     for j in range(n):
         total = sum(nums[j * inv % pn] for inv, pn, nums in scaled)

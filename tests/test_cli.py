@@ -244,6 +244,7 @@ OVERSIZED = {
     "cyclic-bosons": ["cyclic", "bosons", "1000003", "1"],
     "cyclic-condense": ["cyclic", "condense", "1000003", "1", "--subgroup", "0"],
     "cyclic-double": ["cyclic", "double", "1002001", "1"],
+    "cyclic-decompose": ["cyclic", "decompose", "1000003", "1"],
     "so2-fusion": ["so2", "fusion", "295"],
     "so2-verify": ["so2", "verify", "295"],
     "so2-condense": ["so2", "condense", "301"],

@@ -1,5 +1,8 @@
 import cmath
+import copy
 import math
+import pickle
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -29,6 +32,7 @@ from modcat.cyclic import (
     find_lagrangian_subgroup,
     gauss_sum,
     is_quantum_double,
+    modular_relation_residuals,
     smatrix,
     smatrix_complex,
     verify_balancing,
@@ -37,10 +41,12 @@ from modcat.cyclic import (
 from modcat.numthy import distinct_primes
 from tests.oracles import (
     balancing_witness,
+    braided_autos_by_search,
     condense_by_search,
     equivalent_by_unit_search,
     is_nondegenerate,
     lagrangian_subgroup_by_search,
+    modular_relation_residuals_by_phases,
     smatrix_by_entries,
     units,
 )
@@ -434,6 +440,19 @@ def test_braided_autos_size_and_particle_hole():
         assert len(autos) == 2 ** len(distinct_primes(n)) if n > 1 else len(autos) == 1
 
 
+def test_braided_autos_match_search_oracle():
+    """The CRT construction equals the scan of Z_n on every odd n < 2000
+    and on sampled n < 10^7: a prime, a prime power, a product of seven
+    primes, and log-uniform draws."""
+    for n in range(1, 2000, 2):
+        assert braided_autos(n, 1) == braided_autos_by_search(n)
+    rng = random.Random(7)
+    sampled = [9999991, 3**14, 3 * 5 * 7 * 11 * 13 * 17 * 19]
+    sampled += [int(10 ** rng.uniform(3.3, 7)) | 1 for _ in range(4)]
+    for n in sampled:
+        assert braided_autos(n, 1) == braided_autos_by_search(n)
+
+
 # ----------------------------------------------------------------- bosons
 
 
@@ -583,6 +602,19 @@ def test_modular_relations_hold():
         assert verify_modular_relations(build_cyclic(n, k))
 
 
+def test_modular_residuals_match_phase_oracle_bit_for_bit():
+    """theta_j comes from the stored residue over its own denominator: the
+    residuals equal those computed from the Phase twists exactly, for odd
+    n < 60 and every unit k, also with one twist over the denominator 2n."""
+    for n in range(1, 60, 2):
+        for k in units(n):
+            cat = build_cyclic(n, k)
+            moved = list(cat.twists)
+            moved[k % n] += Phase.of(1, 2 * n)
+            for c in (cat, CyclicCategory(n, k, tuple(moved))):
+                assert modular_relation_residuals(c) == modular_relation_residuals_by_phases(c)
+
+
 # ------------------------------------------------------------------- JSON
 
 
@@ -591,6 +623,38 @@ def test_category_json_roundtrip():
     data = cat.to_json_dict()
     assert data["twists"][0] == "0/1"
     assert CyclicCategory.from_json_dict(data) == cat
+
+
+def _assert_boundary_forms(cat: CyclicCategory, twists: tuple[Phase, ...]) -> None:
+    """cat holds exactly `twists`, and each boundary form gives it back."""
+    assert cat.twists == twists
+    assert cat.to_json_dict()["twists"] == [str(t) for t in twists]
+    assert CyclicCategory.from_json_dict(cat.to_json_dict()) == cat
+    assert replace(cat, twists=twists) == cat
+    for copied in (pickle.loads(pickle.dumps(cat)), copy.deepcopy(cat)):
+        assert copied == cat and hash(copied) == hash(cat)
+    assert " at 0x" not in repr(cat)
+
+
+def test_residue_form_matches_phase_twists():
+    """For odd n < 100 and every unit k: the category built from residues
+    equals the one built from its Phase twists, and JSON, replace, pickle,
+    deepcopy and repr keep it, also with twists over the foreign
+    denominators 2n, 7 and 9."""
+    for n in range(1, 100, 2):
+        for k in units(n):
+            cat = build_cyclic(n, k)
+            twists = tuple(Phase.of(k * j * j, n) for j in range(n))
+            again = CyclicCategory(n, k, twists)
+            assert again == cat and hash(again) == hash(cat) and cat.denominator == n
+            _assert_boundary_forms(cat, twists)
+            moved = list(twists)  # three labels moved off the denominator n
+            for j, den in zip((k, 2 * k, 3 * k), (2 * n, 7, 9)):
+                moved[j % n] += Phase.of(1, den)
+            foreign = CyclicCategory(n, k, tuple(moved))
+            assert foreign.denominator == math.lcm(*(t.frac.denominator for t in moved))
+            _assert_boundary_forms(foreign, tuple(moved))
+    assert pickle.loads(pickle.dumps(cat)).twists == cat.twists  # rebuilt on use
 
 
 def test_category_rejects_wrong_twist_count():
