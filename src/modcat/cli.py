@@ -17,6 +17,7 @@ from . import cyclic, fusion, metaplectic
 
 MAX_RANK = 150  # SO(293)_2 verifies in about 10 s; the time grows as rank^5
 MAX_N = 10**6  # cyclic build, bosons, condense, double and decompose hold n twists
+MAX_FACTOR_N = 10**12  # trial division by odd p <= sqrt(n): about 0.3 s at the limit
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def _cmd_cyclic_build(args) -> CommandResult:
 
 
 def _cmd_cyclic_classify(args) -> CommandResult:
-    reps = cyclic.classify(args.n)
+    reps = cyclic.classify(_limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N))
     classes = [
         {"k": k, **cyclic.canonical_invariant(args.n, k).to_json_dict()} for k in reps
     ]
@@ -81,6 +82,7 @@ def _cmd_cyclic_classify(args) -> CommandResult:
 
 
 def _cmd_cyclic_equiv(args) -> CommandResult:
+    _limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
     equivalent = cyclic.are_equivalent(args.n, args.k1, args.k2)
     desc1 = cyclic.canonical_invariant(args.n, args.k1)
     desc2 = cyclic.canonical_invariant(args.n, args.k2)
@@ -103,7 +105,8 @@ def _cmd_cyclic_equiv(args) -> CommandResult:
 
 
 def _cmd_cyclic_autos(args) -> CommandResult:
-    autos = cyclic.braided_autos(args.n, args.k)
+    n = _limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
+    autos = cyclic.braided_autos(n, args.k)
     payload = {"n": args.n, "k": args.k, "autos": autos}
     table = f"twist-preserving automorphisms of C({args.n},{args.k}): " + ", ".join(
         str(u) for u in autos
@@ -203,14 +206,16 @@ def _cmd_so2_condense(args) -> CommandResult:
 
 
 def _cmd_meta_count(args) -> CommandResult:
-    count = metaplectic.count_metaplectic(args.n)
+    n = _limit("N", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
+    count = metaplectic.count_metaplectic(n)
     payload = {"N": args.n, "count": count}
     table = f"{count} inequivalent metaplectic modular categories for N = {args.n}"
     return CommandResult(0, payload, table)
 
 
 def _cmd_meta_enumerate(args) -> CommandResult:
-    descriptors = metaplectic.enumerate_metaplectic(args.n)
+    n = _limit("N", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
+    descriptors = metaplectic.enumerate_metaplectic(n)
     payload = {
         "N": args.n,
         "count": len(descriptors),

@@ -6,7 +6,9 @@ A category stores its twists as integer residues over one common
 denominator (n for built categories); `Phase` objects are made only where
 the API hands twists out.  All classification decisions run in exact
 integer arithmetic; complex floats appear only in Gauss sums and the
-numeric modular-relation check.
+numeric modular-relation check.  numpy is imported inside those three
+float functions (`smatrix_complex`, `gauss_sum`,
+`modular_relation_residuals`), so the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .numthy import factorize, jacobi, unit_square_orbits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
 
@@ -230,6 +233,8 @@ def smatrix(cat: CyclicCategory) -> list[list[Phase]]:
 
 def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
     """Normalized numeric S-matrix (1/sqrt(n)) e^{-4 pi i k i j / n}."""
+    import numpy as np
+
     n, k = cat.n, cat.k
     idx = np.arange(n)
     phases = (-2 * k % n) * np.outer(idx, idx) % n
@@ -273,6 +278,8 @@ def gauss_sum(n: int, k: int) -> complex:
 
     |G| = sqrt(n) exactly when gcd(k, n) = 1.
     """
+    import numpy as np
+
     _require_odd(n)
     j = np.arange(n)
     return complex(np.exp(2j * np.pi * ((k * j * j) % n) / n).sum())
@@ -468,6 +475,8 @@ def verify_modular_relations(cat: CyclicCategory) -> bool:
 
 def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
     """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I."""
+    import numpy as np
+
     n = cat.n
     s = smatrix_complex(cat)
     d = cat.denominator  # int / int rounds correctly, as float(Fraction) does

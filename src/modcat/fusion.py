@@ -5,6 +5,9 @@ A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  Rings are
 immutable, so their derived data and axiom report are computed once.
+numpy is imported on the first float computation (the dense tensor, axiom
+verification, FP dimensions), so building a ring or reading its fusion
+rules never loads it.
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Coeffs = dict[tuple[int, int, int], int]
 
@@ -74,6 +78,8 @@ class FusionRing:
     @cached_property
     def _tensor(self) -> np.ndarray:
         """Dense (rank, rank, rank) float coefficient tensor."""
+        import numpy as np
+
         t = np.zeros((self.rank,) * 3)
         for (i, j, k), m in self.coeffs.items():
             t[i, j, k] = m
@@ -161,6 +167,8 @@ class FusionReport:
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
+    import numpy as np
+
     bad = np.argwhere(a != b)
     if bad.size == 0:
         return None
@@ -179,6 +187,8 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 def _check_axioms(ring: FusionRing) -> FusionReport:
     """FusionRing._report.  Associativity, sum_m N_ij^m N_mk^l == sum_m
     N_jk^m N_im^l, runs one i at a time in O(rank^3) memory."""
+    import numpy as np
+
     t = ring._tensor
     r = ring.rank
     dual = list(ring.dual)
@@ -229,6 +239,8 @@ def fp_dimensions(ring: FusionRing) -> list[float]:
     matrix, which for a non-negative integer matrix is its largest real
     eigenvalue.  Requires a ring that passes verification.
     """
+    import numpy as np
+
     ring.require_verified()
     t = ring._tensor
     return [float(np.max(np.linalg.eigvals(t[i]).real)) for i in range(ring.rank)]

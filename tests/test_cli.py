@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from modcat.cli import run
+from modcat.cli import MAX_FACTOR_N, MAX_N, MAX_RANK, run
 from modcat.fusion import FusionRing, pointed_cyclic_ring
 
 
@@ -239,23 +240,35 @@ def test_ring_verify_rejects_loose_data(tmp_path, case):
 # ------------------------------------------------------------- size limits
 
 
-OVERSIZED = {
-    "cyclic-build": ["cyclic", "build", "1000001", "1"],
-    "cyclic-bosons": ["cyclic", "bosons", "1000003", "1"],
-    "cyclic-condense": ["cyclic", "condense", "1000003", "1", "--subgroup", "0"],
-    "cyclic-double": ["cyclic", "double", "1002001", "1"],
-    "cyclic-decompose": ["cyclic", "decompose", "1000003", "1"],
-    "so2-fusion": ["so2", "fusion", "295"],
-    "so2-verify": ["so2", "verify", "295"],
-    "so2-condense": ["so2", "condense", "301"],
+ABOVE_FACTOR_N = str(MAX_FACTOR_N + 1)
+OVERSIZED = {  # case: (argv, the limit named in the refusal)
+    "cyclic-build": (["cyclic", "build", "1000001", "1"], "MAX_N = 1000000"),
+    "cyclic-bosons": (["cyclic", "bosons", "1000003", "1"], "MAX_N = 1000000"),
+    "cyclic-condense": (
+        ["cyclic", "condense", "1000003", "1", "--subgroup", "0"],
+        "MAX_N = 1000000",
+    ),
+    "cyclic-double": (["cyclic", "double", "1002001", "1"], "MAX_N = 1000000"),
+    "cyclic-decompose": (["cyclic", "decompose", "1000003", "1"], "MAX_N = 1000000"),
+    "cyclic-classify": (["cyclic", "classify", ABOVE_FACTOR_N], "MAX_FACTOR_N"),
+    "cyclic-equiv": (["cyclic", "equiv", ABOVE_FACTOR_N, "1", "2"], "MAX_FACTOR_N"),
+    "cyclic-autos": (
+        ["cyclic", "autos", str((10**9 + 7) * (10**9 + 9)), "1"],
+        "MAX_FACTOR_N",
+    ),
+    "meta-count": (["meta", "count", ABOVE_FACTOR_N], "MAX_FACTOR_N"),
+    "meta-enumerate": (["meta", "enumerate", ABOVE_FACTOR_N], "MAX_FACTOR_N"),
+    "so2-fusion": (["so2", "fusion", "295"], "MAX_RANK = 150"),
+    "so2-verify": (["so2", "verify", "295"], "MAX_RANK = 150"),
+    "so2-condense": (["so2", "condense", "301"], "MAX_RANK = 150"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERSIZED))
 def test_oversized_input_exits_one_naming_the_limit(case):
-    result = run(OVERSIZED[case] + ["--format", "json"])
+    argv, limit = OVERSIZED[case]
+    result = run(argv + ["--format", "json"])
     assert result.status == 1
-    limit = "MAX_N = 1000000" if case.startswith("cyclic") else "MAX_RANK = 150"
     assert limit in result.payload["error"]
 
 
@@ -263,6 +276,10 @@ def test_limits_admit_their_boundary():
     assert run(["so2", "fusion", "293"]).status == 0  # rank 150
     result = run(["cyclic", "build", "1000000", "1"])  # at MAX_N: refused as even
     assert result.status == 1 and "even modulus" in result.table
+    result = run(["meta", "count", str(MAX_FACTOR_N)])  # refused as even
+    assert result.status == 1 and "need odd N" in result.table
+    prime = 999_999_999_989  # the largest prime below MAX_FACTOR_N
+    assert run(["cyclic", "autos", str(prime), "1"]).payload["autos"] == [1, prime - 1]
 
 
 def test_ring_verify_refuses_rank_above_limit(tmp_path):
@@ -271,3 +288,92 @@ def test_ring_verify_refuses_rank_above_limit(tmp_path):
     result = run(["ring", "verify", "--file", str(path)])
     assert result.status == 1
     assert "rank = 151 is above the limit MAX_RANK = 150" in result.table
+
+
+# ------------------------------------------------------------ numpy import
+
+
+NUMPY_FREE = [
+    ["cyclic", "build", "15", "2"],
+    ["cyclic", "classify", "45"],
+    ["cyclic", "equiv", "15", "1", "2"],
+    ["cyclic", "autos", "15", "1"],
+    ["cyclic", "bosons", "9", "1"],
+    ["cyclic", "decompose", "45", "1"],
+    ["cyclic", "condense", "9", "1", "--subgroup", "0,3,6"],
+    ["cyclic", "double", "25", "1"],
+    ["meta", "count", "15"],
+    ["meta", "enumerate", "15", "--format", "json"],
+    ["so2", "fusion", "7", "--format", "json"],
+]
+NUMPY_FREE_REFUSALS = [
+    ["cyclic", "build", "five", "1"],
+    ["so2", "verify", "14"],
+]
+
+
+def test_only_float_commands_import_numpy(tmp_path):
+    """The exact commands, a malformed ring file and bad arguments never
+    load numpy; `so2 verify` does.  Runs in a fresh interpreter, since this
+    one already holds numpy."""
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"rank": 2, "labels": ["1"]')
+    refusals = NUMPY_FREE_REFUSALS + [["ring", "verify", "--file", str(malformed)]]
+    script = f"""
+import json, sys
+import modcat, modcat.cli
+statuses = [modcat.cli.run(argv).status for argv in {NUMPY_FREE + refusals!r}]
+before = "numpy" in sys.modules
+statuses.append(modcat.cli.run(["so2", "verify", "7"]).status)
+print(json.dumps([statuses, before, "numpy" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    statuses, before, after = json.loads(proc.stdout)
+    assert statuses == [0] * len(NUMPY_FREE) + [1] * len(refusals) + [0]
+    assert before is False
+    assert after is True
+
+
+# ------------------------------------------------------ integer arguments
+
+
+# command: (integer positionals, largest admitted first integer)
+SO2_MAX_N = 2 * MAX_RANK - 6  # the largest N with rank (N + 7) // 2 <= MAX_RANK
+INTEGER_COMMANDS = {
+    "cyclic build": (2, MAX_N),
+    "cyclic classify": (1, MAX_FACTOR_N),
+    "cyclic equiv": (3, MAX_FACTOR_N),
+    "cyclic autos": (2, MAX_FACTOR_N),
+    "cyclic bosons": (2, MAX_N),
+    "cyclic decompose": (2, MAX_N),
+    "cyclic condense": (2, MAX_N),
+    "cyclic double": (2, MAX_N),
+    "so2 fusion": (1, SO2_MAX_N),
+    "so2 verify": (1, SO2_MAX_N),
+    "so2 condense": (1, SO2_MAX_N),
+    "meta count": (1, MAX_FACTOR_N),
+    "meta enumerate": (1, MAX_FACTOR_N),
+}
+SMALL = st.integers(-50, 2000)
+HUGE = 10**30
+
+
+@given(data=st.data(), command=st.sampled_from(sorted(INTEGER_COMMANDS)))
+@settings(max_examples=200, deadline=None)
+def test_integer_arguments_never_raise(data, command):
+    count, limit = INTEGER_COMMANDS[command]
+    # Verifying SO(N)_2 near the rank limit takes seconds: small so2
+    # draws stop at SO(61)_2, and every N above SO2_MAX_N is refused.
+    small = st.integers(-50, 61) if command.startswith("so2") else SMALL
+    above = st.integers(limit + 1, HUGE)
+    size = data.draw(small | above, label="size")
+    other = SMALL | st.integers(-HUGE, HUGE)  # k, k1, k2: reduced modulo n
+    rest = data.draw(st.lists(other, min_size=count - 1, max_size=count - 1))
+    argv = command.split() + [str(x) for x in [size, *rest]]
+    if command == "cyclic condense":
+        argv += ["--subgroup", "0"]
+    result = run(argv)
+    assert result.status in (0, 1, 2)
+    if size > limit:
+        assert "above the limit" in result.table
