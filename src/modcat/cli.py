@@ -83,9 +83,9 @@ def _cmd_cyclic_classify(args) -> CommandResult:
 
 def _cmd_cyclic_equiv(args) -> CommandResult:
     _limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
-    equivalent = cyclic.are_equivalent(args.n, args.k1, args.k2)
     desc1 = cyclic.canonical_invariant(args.n, args.k1)
     desc2 = cyclic.canonical_invariant(args.n, args.k2)
+    equivalent = desc1 == desc2  # the complete invariant, as in are_equivalent
     payload = {
         "n": args.n,
         "k1": args.k1,
@@ -233,7 +233,7 @@ def _cmd_ring_verify(args) -> CommandResult:
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
         ring = fusion.FusionRing.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
     _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)
     report = fusion.verify_fusion_ring(ring)

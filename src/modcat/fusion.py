@@ -288,30 +288,20 @@ def universal_grading(ring: FusionRing) -> GradingResult:
     seeds = {c for i in range(ring.rank) for c in ring.fuse(i, ring.dual[i])}
     adjoint = _closure(ring, seeds)  # the components of every i (x) i*
 
+    # Cosets are single steps: the adjoint set is fusion- and dual-closed,
+    # so y in a (x) i for some adjoint a is already an equivalence.
     component = [-1] * ring.rank
-    comp_members: list[list[int]] = []
+    reps: list[int] = []  # the smallest member of each coset
     for i in range(ring.rank):
-        if component[i] >= 0:
-            continue
-        cid = len(comp_members)
-        members = [i]
-        component[i] = cid
-        queue = [i]
-        while queue:
-            x = queue.pop()
-            for a in adjoint:
-                for y in ring.fuse(a, x):
-                    if component[y] < 0:
-                        component[y] = cid
-                        members.append(y)
-                        queue.append(y)
-        comp_members.append(sorted(members))
+        if component[i] < 0:
+            for y in {y for a in adjoint for y in ring.fuse(a, i)}:
+                component[y] = len(reps)
+            reps.append(i)
 
-    order = len(comp_members)
+    order = len(reps)
 
     def comp_mul(a: int, b: int) -> int:
-        i, j = comp_members[a][0], comp_members[b][0]
-        targets = {component[k] for k in ring.fuse(i, j)}
+        targets = {component[k] for k in ring.fuse(reps[a], reps[b])}
         if len(targets) != 1:
             raise InvalidFusionRingError(
                 f"fusion is not grade-additive on components {a}, {b}"
@@ -343,8 +333,11 @@ def subring_generated(ring: FusionRing, generators: set[int]) -> FusionRing:
     restriction of the parent's.
     """
     ring.require_verified()
-    if not generators:
-        raise ValueError("need at least one generator")
+    if not generators or not all(0 <= g < ring.rank for g in generators):
+        raise ValueError(
+            f"need one or more object indices 0 <= g < {ring.rank}, "
+            f"got {sorted(generators)}"
+        )
     closed = _closure(ring, generators)
     kept = sorted(closed)
     index = {old: new for new, old in enumerate(kept)}
@@ -374,6 +367,24 @@ def pointed_cyclic_ring(n: int) -> FusionRing:
     )
 
 
+def _dihedral_rules(n: int, y0: int) -> Coeffs:
+    """Fusion coefficients of 1, Z (indices 0, 1) and Y_1..Y_h, h = (n-1)/2,
+    with Y_i at index y0 - 1 + i: Z (x) Z = 1, Z fixes every Y_i, and
+    Y_i (x) Y_j = Y_min(i+j, n-i-j) + Y_|i-j|, reading Y_0 as 1 + Z.  For
+    odd n every multiplicity is 1."""
+    half, off = (n - 1) // 2, y0 - 1  # Y_i at index off + i
+    coeffs: Coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    for i in range(1, half + 1):
+        yi = off + i
+        coeffs[0, yi, yi] = coeffs[yi, 0, yi] = coeffs[yi, yi, 0] = 1
+        coeffs[1, yi, yi] = coeffs[yi, 1, yi] = coeffs[yi, yi, 1] = 1
+        for j in range(1, half + 1):
+            coeffs[yi, off + j, off + min(i + j, n - i - j)] = 1
+            if i != j:
+                coeffs[yi, off + j, off + abs(i - j)] = 1
+    return coeffs
+
+
 def dihedral_fusion(n: int) -> FusionRing:
     """Character ring of the dihedral group of order 2n, n odd >= 3.
 
@@ -383,33 +394,6 @@ def dihedral_fusion(n: int) -> FusionRing:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
-    half = (n - 1) // 2
-    rank = 2 + half
-
-    def y(i: int) -> int:
-        return 1 + i  # Y_i at index 1 + i, so Z = index 1, Y_1 = index 2
-
-    coeffs: Coeffs = {}
-
-    def add(i: int, j: int, k: int) -> None:
-        coeffs[(i, j, k)] = coeffs.get((i, j, k), 0) + 1
-
-    for i in range(rank):
-        add(0, i, i)
-        if i != 0:
-            add(i, 0, i)
-    add(1, 1, 0)
-    for i in range(1, half + 1):
-        add(1, y(i), y(i))
-        add(y(i), 1, y(i))
-    for i in range(1, half + 1):
-        for j in range(1, half + 1):
-            for target in (min(i + j, n - i - j), abs(i - j)):
-                if target == 0:
-                    add(y(i), y(j), 0)
-                    add(y(i), y(j), 1)
-                else:
-                    add(y(i), y(j), y(target))
-
-    labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, half + 1))
-    return FusionRing(rank=rank, labels=labels, dual=tuple(range(rank)), coeffs=coeffs)
+    rank = 2 + (n - 1) // 2
+    labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, rank - 1))
+    return FusionRing(rank, labels, tuple(range(rank)), _dihedral_rules(n, 2))

@@ -14,10 +14,8 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from .fusion import Coeffs, FusionRing, fp_dimensions, universal_grading
+from .fusion import FusionRing, _dihedral_rules, fp_dimensions, universal_grading
 from .numthy import distinct_primes
-
-DIM_TOL = 1e-9
 
 
 class CondensationInputError(ValueError):
@@ -40,55 +38,17 @@ def so_n2_fusion(n: int) -> FusionRing:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
-    half = (n - 1) // 2
-    rank = 4 + half
-    x1, x2 = 2, 3
-
-    def y(i: int) -> int:
-        return 3 + i
-
-    coeffs: Coeffs = {}
-
-    def add(i: int, j: int, k: int) -> None:
-        coeffs[(i, j, k)] = coeffs.get((i, j, k), 0) + 1
-
-    def add_sym(i: int, j: int, k: int) -> None:
-        add(i, j, k)
-        if i != j:
-            add(j, i, k)
-
-    for i in range(rank):
-        add(0, i, i)
-        if i != 0:
-            add(i, 0, i)
-    add(1, 1, 0)
-    add_sym(1, x1, x2)
-    add_sym(1, x2, x1)
-    for i in range(1, half + 1):
-        add_sym(1, y(i), y(i))
-    for x in (x1, x2):
-        add(x, x, 0)
-        for i in range(1, half + 1):
-            add(x, x, y(i))
-    add_sym(x1, x2, 1)
-    for i in range(1, half + 1):
-        add_sym(x1, x2, y(i))
-    for x in (x1, x2):
-        for i in range(1, half + 1):
-            add_sym(x, y(i), x1)
-            add_sym(x, y(i), x2)
-    for i in range(1, half + 1):
-        for j in range(1, half + 1):
-            if i == j:
-                add(y(i), y(i), 0)
-                add(y(i), y(i), 1)
-                add(y(i), y(i), y(min(2 * i, n - 2 * i)))
-            else:
-                add(y(i), y(j), y(min(i + j, n - i - j)))
-                add(y(i), y(j), y(abs(i - j)))
-
-    labels = ("1", "Z", "X1", "X2") + tuple(f"Y{i}" for i in range(1, half + 1))
-    return FusionRing(rank=rank, labels=labels, dual=tuple(range(rank)), coeffs=coeffs)
+    rank = 4 + (n - 1) // 2
+    coeffs = _dihedral_rules(n, 4)
+    for x, other in ((2, 3), (3, 2)):  # the X sector
+        coeffs[0, x, x] = coeffs[x, 0, x] = coeffs[x, x, 0] = 1
+        coeffs[1, x, other] = coeffs[x, 1, other] = coeffs[x, other, 1] = 1
+        for y in range(4, rank):
+            coeffs[x, x, y] = coeffs[x, other, y] = 1
+            coeffs[x, y, x] = coeffs[x, y, other] = 1
+            coeffs[y, x, x] = coeffs[y, x, other] = 1
+    labels = ("1", "Z", "X1", "X2") + tuple(f"Y{i}" for i in range(1, rank - 3))
+    return FusionRing(rank, labels, tuple(range(rank)), coeffs)
 
 
 @dataclass(frozen=True)
@@ -173,11 +133,15 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     from the universal grading of the ring with the grade of z quotiented
     out (identity sector = trivial residual grade).  For SO(N)_2 and
     z = Z this produces N invertibles in the identity sector and a single
-    sqrt(N)-dimensional object in the other.
+    sqrt(N)-dimensional object in the other.  The float dimensions, and the
+    warning of a fixed simple with odd dimension, are display only: no
+    recognition decision reads them.
     """
     ring.require_verified()
-    if z == 0:
-        raise CondensationInputError("cannot condense the unit object")
+    if not 0 < z < ring.rank:
+        raise CondensationInputError(
+            f"z = {z}: need a non-unit object index, 1 <= z < {ring.rank}"
+        )
     sigma = _z_action(ring, z)
     dims = fp_dimensions(ring)
     grading = universal_grading(ring)
@@ -293,13 +257,12 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
                 )
             cur = comps[0]
             y_index[cur] = step
-    if sorted(y_index.values()) != list(range(1, len(sources) + 1)):
-        raise GroupReconstructionError("generator chain did not cover all splits")
 
+    # The chain numbers the split sources 1..h, so the residues are Z_order.
     residue_of_pos: dict[int, int] = {unit_positions[0]: 0}
     for src, (pos1, pos2) in pairs.items():
-        residue_of_pos[pos1] = y_index[src] % order
-        residue_of_pos[pos2] = (order - y_index[src]) % order
+        residue_of_pos[pos1] = y_index[src]
+        residue_of_pos[pos2] = order - y_index[src]
 
     # Consistency of every lifted fusion rule.
     def child_residues(source: int) -> list[int]:
@@ -330,9 +293,6 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
                     f"({ring.labels[a]}, {ring.labels[b]})"
                 )
 
-    cyclic = sorted(residue_of_pos.values()) == list(range(order))
-    if not cyclic:  # pragma: no cover - chain construction forces this
-        raise GroupReconstructionError("residues do not exhaust Z_N")
     filled = tuple(
         replace(obj, group_elem=residue_of_pos[pos])
         for pos, obj in enumerate(data.d0)
@@ -347,7 +307,7 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
 @dataclass(frozen=True)
 class TYReport:
     """Tambara-Yamagami recognition: a pointed identity sector forming a
-    group A plus a single object m with d_m^2 = |A|."""
+    group A plus a single object m with m (x) m = sum of all a in A."""
 
     is_ty: bool
     group_order: int | None = None
@@ -356,9 +316,13 @@ class TYReport:
 
 
 def is_tambara_yamagami(data: CondensedData) -> TYReport:
-    """Decide whether condensed data has Tambara-Yamagami shape."""
-    if any(abs(o.dim - 1.0) > DIM_TOL for o in data.d0):
-        return TYReport(False, reason="identity sector is not pointed")
+    """Decide Tambara-Yamagami shape from the condensed fusion rules.
+
+    The non-trivial sector must hold one object m; reconstruct_group must
+    lift the group law to the identity sector, which makes it a pointed
+    group A; and the components of x (x) x, x a source of the merged orbit
+    m, must land on every object of A exactly once and nowhere else.
+    """
     if len(data.d1) != 1:
         return TYReport(
             False, reason=f"non-trivial sector has {len(data.d1)} objects, need 1"
@@ -368,13 +332,18 @@ def is_tambara_yamagami(data: CondensedData) -> TYReport:
     except GroupReconstructionError as exc:
         return TYReport(False, reason=str(exc))
     m = data.d1[0]
-    if abs(m.dim**2 - group.order) > DIM_TOL:
-        return TYReport(
-            False,
-            group_order=group.order,
-            cyclic=group.cyclic,
-            reason="d_m^2 != |A|: fusion m (x) m cannot be the sum of all a in A",
-        )
+    if m.split is not None:
+        reason = f"m = {m.name} is half of a split simple, so m (x) m is unknown"
+        return TYReport(False, group.order, group.cyclic, reason)
+    # A parent component c of x (x) x lands once on each object sourced
+    # from c: on its merged orbit, or on both halves of its split.
+    objects = data.d0 + data.d1
+    square = data.ring.fuse(m.sources[0], m.sources[0])
+    hits = [sum(square.get(src, 0) for src in obj.sources) for obj in objects]
+    landed = set(square) <= {src for obj in objects for src in obj.sources}
+    if not landed or hits != [1] * len(data.d0) + [0] * len(data.d1):
+        reason = "m (x) m is not the sum of all a in A, each once"
+        return TYReport(False, group.order, group.cyclic, reason)
     return TYReport(True, group_order=group.order, cyclic=group.cyclic)
 
 

@@ -250,3 +250,86 @@ def fp_identity_residual(ring: FusionRing, dims: list[float]) -> float:
             rhs = sum(m * dims[k] for k, m in ring.fuse(i, j).items())
             worst = max(worst, abs(dims[i] * dims[j] - rhs))
     return worst
+
+
+def so_n2_by_rules(n: int) -> FusionRing:
+    """SO(N)_2 built rule by rule, each coefficient counted as it is added:
+    units, Z swapping the X's and fixing the Y's, X (x) X = 1 + all Y's,
+    X1 (x) X2 = Z + all Y's, X (x) Y = X1 + X2, and the dihedral Y block."""
+    half = (n - 1) // 2
+    rank = 4 + half
+    x1, x2 = 2, 3
+
+    def y(i: int) -> int:
+        return 3 + i
+
+    coeffs: dict[tuple[int, int, int], int] = {}
+
+    def add(i: int, j: int, k: int) -> None:
+        coeffs[(i, j, k)] = coeffs.get((i, j, k), 0) + 1
+
+    def add_sym(i: int, j: int, k: int) -> None:
+        add(i, j, k)
+        if i != j:
+            add(j, i, k)
+
+    for i in range(rank):
+        add(0, i, i)
+        if i != 0:
+            add(i, 0, i)
+    add(1, 1, 0)
+    add_sym(1, x1, x2)
+    add_sym(1, x2, x1)
+    for i in range(1, half + 1):
+        add_sym(1, y(i), y(i))
+    for x in (x1, x2):
+        add(x, x, 0)
+        for i in range(1, half + 1):
+            add(x, x, y(i))
+    add_sym(x1, x2, 1)
+    for i in range(1, half + 1):
+        add_sym(x1, x2, y(i))
+    for x in (x1, x2):
+        for i in range(1, half + 1):
+            add_sym(x, y(i), x1)
+            add_sym(x, y(i), x2)
+    for i in range(1, half + 1):
+        for j in range(1, half + 1):
+            if i == j:
+                add(y(i), y(i), 0)
+                add(y(i), y(i), 1)
+                add(y(i), y(i), y(min(2 * i, n - 2 * i)))
+            else:
+                add(y(i), y(j), y(min(i + j, n - i - j)))
+                add(y(i), y(j), y(abs(i - j)))
+
+    labels = ("1", "Z", "X1", "X2") + tuple(f"Y{i}" for i in range(1, half + 1))
+    return FusionRing(rank=rank, labels=labels, dual=tuple(range(rank)), coeffs=coeffs)
+
+
+def grading_components_by_search(ring: FusionRing) -> list[int]:
+    """Component id of each simple under the universal grading, grown by a
+    breadth-first search that fuses with every adjoint object until no new
+    simple appears; ids number the components by their smallest member."""
+    adjoint = {c for i in range(ring.rank) for c in ring.fuse(i, ring.dual[i])}
+    while True:  # close the components of every i (x) i* under fusion
+        grown = adjoint | {c for a in adjoint for b in adjoint for c in ring.fuse(a, b)}
+        if grown == adjoint:
+            break
+        adjoint = grown
+    component = [-1] * ring.rank
+    count = 0
+    for i in range(ring.rank):
+        if component[i] >= 0:
+            continue
+        component[i] = count
+        queue = [i]
+        while queue:
+            x = queue.pop()
+            for a in adjoint:
+                for y in ring.fuse(a, x):
+                    if component[y] < 0:
+                        component[y] = count
+                        queue.append(y)
+        count += 1
+    return component

@@ -3,10 +3,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from modcat.cli import MAX_FACTOR_N, MAX_N, MAX_RANK, run
-from modcat.fusion import FusionRing, pointed_cyclic_ring
+from modcat.cyclic import are_equivalent
+from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring
+from modcat.metaplectic import so_n2_fusion
 
 
 def payload_of(argv):
@@ -63,6 +65,18 @@ def test_equiv_table_output():
     assert result.payload["equivalent"] is False
     assert result.payload["descriptor1"]["factors"] == [{"pp": 5, "sign": 1}]
     assert result.payload["descriptor2"]["factors"] == [{"pp": 5, "sign": -1}]
+
+
+def test_equiv_verdict_matches_are_equivalent():
+    for n in range(-3, 60, 2):
+        for k1, k2 in ((1, 2), (2, 7), (3, 3), (-1, n + 2), (5, 10**20 + 1)):
+            result = run(["cyclic", "equiv", str(n), str(k1), str(k2)])
+            try:
+                expected = are_equivalent(n, k1, k2)
+            except ValueError as exc:
+                assert result.status == 1 and result.payload == {"error": str(exc)}
+            else:
+                assert result.payload["equivalent"] is expected
 
 
 def test_build_payload_matches_schema():
@@ -173,6 +187,18 @@ def test_ring_verify_wrong_schema_exits_one(tmp_path):
     path = tmp_path / "schema.json"
     path.write_text('{"rank": 2}')
     assert run(["ring", "verify", "--file", str(path)]).status == 1
+
+
+def test_ring_verify_deeply_nested_json_exits_one(tmp_path):
+    depth = 100_000
+    deep_key = json.dumps(pointed_cyclic_ring(3).to_json_dict())[:-1]
+    deep_key += ', "extra": ' + "[" * depth + "]" * depth + "}"
+    for name, text in (("brackets", "[" * depth), ("deep-key", deep_key)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        result = run(["ring", "verify", "--file", str(path)])
+        assert result.status == 1
+        assert "cannot load fusion ring" in result.payload["error"]
 
 
 # ----------------------------------------------------------- determinism
@@ -377,3 +403,54 @@ def test_integer_arguments_never_raise(data, command):
     assert result.status in (0, 1, 2)
     if size > limit:
         assert "above the limit" in result.table
+
+
+# ------------------------------------------------------------ ring fuzzing
+
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_RINGS = [
+    pointed_cyclic_ring(3).to_json_dict(),
+    dihedral_fusion(5).to_json_dict(),
+    so_n2_fusion(3).to_json_dict(),
+]
+
+
+@st.composite
+def mutated_rings(draw):
+    """A valid ring dict with one field replaced, dropped, or one entry of
+    one N row changed."""
+    data = json.loads(json.dumps(draw(st.sampled_from(VALID_RINGS))))
+    field = draw(st.sampled_from(["rank", "labels", "dual", "N", "N row"]))
+    if field == "N row":
+        row = draw(st.sampled_from(data["N"]))
+        row[draw(st.integers(0, 3))] = draw(st.integers(-3, 12) | JSON)
+    elif draw(st.booleans()):
+        del data[field]
+    else:
+        data[field] = draw(st.integers(-3, 12) | JSON)
+    return data
+
+
+@given(data=JSON | mutated_rings())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_ring_verify_never_raises_on_any_json(tmp_path, data):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(data))
+    result = run(["ring", "verify", "--file", str(path), "--format", "json"])
+    assert result.status in (0, 1, 2)
+    if result.status == 1:
+        assert "error" in result.payload

@@ -22,6 +22,7 @@ from tests.oracles import (
     associativity_violations,
     dihedral_character_coeffs,
     fp_identity_residual,
+    grading_components_by_search,
 )
 
 
@@ -206,6 +207,38 @@ def test_grading_is_additive_under_fusion():
             assert (g.grades[ring.dual[i]] + g.grades[i]) % g.order == 0
 
 
+def _z3_squared() -> FusionRing:
+    """Group ring of Z_3 x Z_3, (a, b) at index 3a + b: a non-cyclic grading."""
+    def index(a, b):
+        return 3 * (a % 3) + b % 3
+
+    coeffs = {
+        (index(a, b), index(c, d), index(a + c, b + d)): 1
+        for a in range(3) for b in range(3) for c in range(3) for d in range(3)
+    }
+    labels = tuple(f"({a},{b})" for a in range(3) for b in range(3))
+    dual = tuple(index(-a, -b) for a in range(3) for b in range(3))
+    return FusionRing(rank=9, labels=labels, dual=dual, coeffs=coeffs)
+
+
+def test_grading_components_match_search_oracle():
+    rings = (
+        [pointed_cyclic_ring(n) for n in range(1, 25)]
+        + [dihedral_fusion(n) for n in range(3, 42, 2)]
+        + [so_n2_fusion(n) for n in range(3, 62, 2)]
+        + [_z3_squared()]
+    )
+    for ring in rings:
+        g = universal_grading(ring)
+        comps = grading_components_by_search(ring)
+        assert g.order == max(comps) + 1
+        for i in range(ring.rank):
+            for j in range(ring.rank):
+                assert (g.grades[i] == g.grades[j]) == (comps[i] == comps[j])
+    g = universal_grading(_z3_squared())
+    assert not g.cyclic and g.grades == tuple(range(9))
+
+
 def test_grading_so_n2_order_two_full_range():
     for n in range(3, 100, 2):
         ring = so_n2_fusion(n)
@@ -237,6 +270,13 @@ def test_subring_generated_by_unit_is_trivial():
 def test_subring_requires_generators():
     with pytest.raises(ValueError):
         subring_generated(so_n2_fusion(5), set())
+
+
+def test_subring_rejects_out_of_range_generators():
+    ring = so_n2_fusion(5)  # rank 6
+    for bad in ({6}, {99}, {-1}, {1, -6}):
+        with pytest.raises(ValueError, match="0 <= g < 6"):
+            subring_generated(ring, bad)
 
 
 def test_dihedral_examples():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from modcat.metaplectic import (
     reconstruct_group,
     so_n2_fusion,
 )
+from tests.oracles import so_n2_by_rules
 
 odd_N = st.integers(min_value=1, max_value=49).map(lambda i: 2 * i + 1)
 
@@ -57,6 +59,11 @@ def test_x_square_rule():
 
 def test_all_objects_self_dual():
     assert so_n2_fusion(9).dual == tuple(range(so_n2_fusion(9).rank))
+
+
+def test_so_n2_matches_rule_by_rule_oracle():
+    for n in [*range(3, 200, 2), 293, 401]:
+        assert so_n2_fusion(n) == so_n2_by_rules(n), n
 
 
 def test_so_n2_rejects_bad_n():
@@ -112,6 +119,13 @@ def test_condense_rejects_non_involution():
         condense_z2(pointed_cyclic_ring(5), 1)  # [1] has order 5
     with pytest.raises(CondensationInputError, match="unit"):
         condense_z2(pointed_cyclic_ring(2), 0)
+
+
+def test_condense_rejects_out_of_range_index():
+    ring = so_n2_fusion(5)  # rank 6
+    for z in (6, 7, -1, -5):
+        with pytest.raises(CondensationInputError, match="1 <= z < 6"):
+            condense_z2(ring, z)
 
 
 def test_condense_rejects_non_simple_fusion_by_z():
@@ -251,26 +265,43 @@ def test_ty_false_with_two_objects_in_d1():
 
 
 def test_ty_false_with_non_pointed_identity_sector():
+    # Y1 (x) Y1 gains a Y1: the children of Y1 no longer fuse like group
+    # elements, so the identity sector is not a pointed group.
     base = condense_z2(so_n2_fusion(5), 1)
-    fat = CondensedData(
-        d0=base.d0 + (_obj("W", 2.0),), d1=base.d1, ring=base.ring, z=base.z
-    )
-    report = is_tambara_yamagami(fat)
+    broken = replace(base, ring=base.ring.with_coefficient(4, 4, 4, 1))
+    report = is_tambara_yamagami(broken)
     assert not report.is_ty
-    assert report.reason == "identity sector is not pointed"
+    assert "group law inconsistent" in report.reason
 
 
 def test_ty_false_when_dimension_mismatch():
+    # X1 (x) X1 = 1 + Y1 drops Y2, so m (x) m misses Y2^1 and Y2^2
+    # (d_m^2 = 3, not |A| = 5).
     base = condense_z2(so_n2_fusion(5), 1)
-    wrong = CondensedData(
-        d0=base.d0,
-        d1=(_obj("X", 3.0, sources=(2, 3)),),
-        ring=base.ring,
-        z=base.z,
-    )
-    report = is_tambara_yamagami(wrong)
+    broken = replace(base, ring=base.ring.with_coefficient(2, 2, 5, 0))
+    report = is_tambara_yamagami(broken)
     assert not report.is_ty
-    assert "d_m^2" in report.reason
+    assert report.group_order == 5
+    assert "m (x) m" in report.reason
+
+
+def test_ty_reads_fusion_rules_not_dimensions():
+    # Y1 given the dimension sqrt(5) = sqrt(|A|) still squares to
+    # 1 + Z + Y2, which lands on the unit twice.
+    base = condense_z2(so_n2_fusion(5), 1)
+    fake = replace(base, d1=(_obj("Y1", math.sqrt(5)),))
+    report = is_tambara_yamagami(fake)
+    assert not report.is_ty
+    assert report.group_order == 5
+    assert "m (x) m" in report.reason
+
+
+def test_ty_false_when_m_is_a_split_half():
+    base = condense_z2(so_n2_fusion(5), 1)
+    half = replace(base, d1=(_obj("Y1", 1.0, split=1),))
+    report = is_tambara_yamagami(half)
+    assert not report.is_ty
+    assert "split" in report.reason
 
 
 # ------------------------------------------------------------ enumeration
