@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ class CommandResult:
     table: str
 
 
-class _ArgumentError(Exception):
+class _ArgumentError(ValueError):
     pass
 
 
@@ -58,14 +59,12 @@ def _so2_ring(n: int) -> fusion.FusionRing:
     return metaplectic.so_n2_fusion(n)
 
 
-def _twist_lines(cat: cyclic.CyclicCategory) -> list[str]:
-    return [f"  theta[{j}] = {t}" for j, t in enumerate(cat.to_json_dict()["twists"])]
-
-
 def _cmd_cyclic_build(args) -> CommandResult:
     cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
-    table = "\n".join([f"C({cat.n},{cat.k}): modular, rank {cat.n}"] + _twist_lines(cat))
-    return CommandResult(0, cat.to_json_dict(), table)
+    payload = cat.to_json_dict()
+    lines = [f"C({cat.n},{cat.k}): modular, rank {cat.n}"]
+    lines += [f"  theta[{j}] = {t}" for j, t in enumerate(payload["twists"])]
+    return CommandResult(0, payload, "\n".join(lines))
 
 
 def _cmd_cyclic_classify(args) -> CommandResult:
@@ -250,6 +249,35 @@ def _render_report(name: str, report: fusion.FusionReport) -> str:
     return "\n".join(lines)
 
 
+# group -> (help, {command: (handler, integer positionals, --options)})
+_COMMANDS = {
+    "cyclic": ("cyclic modular categories C(n,k)", {
+        "build": (_cmd_cyclic_build, "n k", {}),
+        "classify": (_cmd_cyclic_classify, "n", {}),
+        "equiv": (_cmd_cyclic_equiv, "n k1 k2", {}),
+        "autos": (_cmd_cyclic_autos, "n k", {}),
+        "bosons": (_cmd_cyclic_bosons, "n k", {}),
+        "decompose": (_cmd_cyclic_decompose, "n k", {}),
+        "condense": (_cmd_cyclic_condense, "n k", {
+            "subgroup": dict(required=True, help="comma-separated subgroup elements"),
+        }),
+        "double": (_cmd_cyclic_double, "n k", {}),
+    }),
+    "so2": ("SO(N)_2 fusion rings", {
+        "fusion": (_cmd_so2_fusion, "n", {}),
+        "verify": (_cmd_so2_verify, "n", {}),
+        "condense": (_cmd_so2_condense, "n", {}),
+    }),
+    "meta": ("metaplectic classification", {
+        "count": (_cmd_meta_count, "n", {}),
+        "enumerate": (_cmd_meta_enumerate, "n", {}),
+    }),
+    "ring": ("fusion-ring files", {
+        "verify": (_cmd_ring_verify, "", {"file": dict(required=True)}),
+    }),
+}
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -257,60 +285,16 @@ def _build_parser() -> _Parser:
     )
     parser = _Parser(prog="modcat", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-
-    cyc = groups.add_parser("cyclic", help="cyclic modular categories C(n,k)")
-    cyc_sub = cyc.add_subparsers(dest="command", required=True)
-
-    def cyc_cmd(name, func, *names, **extra):
-        sub = cyc_sub.add_parser(name, parents=[common])
-        for arg in names:
-            sub.add_argument(arg, type=int)
-        for arg, kwargs in extra.items():
-            sub.add_argument(f"--{arg}", **kwargs)
-        sub.set_defaults(func=func)
-
-    cyc_cmd("build", _cmd_cyclic_build, "n", "k")
-    cyc_cmd("classify", _cmd_cyclic_classify, "n")
-    cyc_cmd("equiv", _cmd_cyclic_equiv, "n", "k1", "k2")
-    cyc_cmd("autos", _cmd_cyclic_autos, "n", "k")
-    cyc_cmd("bosons", _cmd_cyclic_bosons, "n", "k")
-    cyc_cmd("decompose", _cmd_cyclic_decompose, "n", "k")
-    cyc_cmd(
-        "condense",
-        _cmd_cyclic_condense,
-        "n",
-        "k",
-        subgroup=dict(required=True, help="comma-separated subgroup elements"),
-    )
-    cyc_cmd("double", _cmd_cyclic_double, "n", "k")
-
-    so2 = groups.add_parser("so2", help="SO(N)_2 fusion rings")
-    so2_sub = so2.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("fusion", _cmd_so2_fusion),
-        ("verify", _cmd_so2_verify),
-        ("condense", _cmd_so2_condense),
-    ):
-        sub = so2_sub.add_parser(name, parents=[common])
-        sub.add_argument("n", type=int)
-        sub.set_defaults(func=func)
-
-    meta = groups.add_parser("meta", help="metaplectic classification")
-    meta_sub = meta.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("count", _cmd_meta_count),
-        ("enumerate", _cmd_meta_enumerate),
-    ):
-        sub = meta_sub.add_parser(name, parents=[common])
-        sub.add_argument("n", type=int)
-        sub.set_defaults(func=func)
-
-    ring = groups.add_parser("ring", help="fusion-ring files")
-    ring_sub = ring.add_subparsers(dest="command", required=True)
-    sub = ring_sub.add_parser("verify", parents=[common])
-    sub.add_argument("--file", required=True)
-    sub.set_defaults(func=_cmd_ring_verify)
-
+    for group, (help_text, commands) in _COMMANDS.items():
+        group_parser = groups.add_parser(group, help=help_text)
+        subs = group_parser.add_subparsers(dest="command", required=True)
+        for name, (func, positionals, options) in commands.items():
+            sub = subs.add_parser(name, parents=[common])
+            for arg in positionals.split():
+                sub.add_argument(arg, type=int)
+            for arg, kwargs in options.items():
+                sub.add_argument(f"--{arg}", **kwargs)
+            sub.set_defaults(func=func)
     return parser
 
 
@@ -320,12 +304,8 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = parser.parse_args(argv)
         result = args.func(args)
-    except _ArgumentError as exc:
-        msg = f"error: {exc}"
-        return CommandResult(1, {"error": str(exc)}, msg)
-    except ValueError as exc:
-        msg = f"error: {exc}"
-        return CommandResult(1, {"error": str(exc)}, msg)
+    except ValueError as exc:  # _ArgumentError and every library precondition
+        return CommandResult(1, {"error": str(exc)}, f"error: {exc}")
     except SystemExit as exc:  # argparse -h and friends
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult(code, None, "")
@@ -336,13 +316,19 @@ def run(argv: list[str]) -> CommandResult:
 
 def main() -> None:
     result = run(sys.argv[1:])
-    if result.status == 1:
-        print(result.table, file=sys.stderr)
-    else:
-        if result.table:
-            print(result.table)
-        if result.status == 2:
-            print("verification failed", file=sys.stderr)
+    try:
+        if result.status == 1:
+            print(result.table, file=sys.stderr)
+        else:
+            if result.table:
+                print(result.table)
+            if result.status == 2:
+                print("verification failed", file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`modcat ... | head`).  Point stdout at devnull so
+        # the interpreter's final flush stays quiet, as the `signal` docs do.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.status)
 
 

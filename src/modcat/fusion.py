@@ -3,11 +3,11 @@ Frobenius-Perron dimensions, universal grading, and subring extraction.
 
 A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
-Labels are display metadata only; all semantics are by index.  Rings are
-immutable, so their derived data and axiom report are computed once.
-numpy is imported on the first float computation (the dense tensor, axiom
-verification, FP dimensions), so building a ring or reading its fusion
-rules never loads it.
+Labels are display metadata only; all semantics are by index.  A ring is
+immutable and keeps its sparse rules, the fuse index and its axiom report.
+Axiom verification and FP dimensions build a dense float tensor for one
+call and import numpy there, so building a ring or reading its rules never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ class FusionRing:
         for (a, b, k), m in self.coeffs.items():
             rows[a][b][k] = m
         return rows
-
-    @cached_property
-    def _tensor(self) -> np.ndarray:
-        """Dense (rank, rank, rank) float coefficient tensor."""
-        import numpy as np
-
-        t = np.zeros((self.rank,) * 3)
-        for (i, j, k), m in self.coeffs.items():
-            t[i, j, k] = m
-        return t
 
     @cached_property
     def _report(self) -> "FusionReport":
@@ -166,6 +156,16 @@ class FusionReport:
         }
 
 
+def _dense(ring: FusionRing) -> np.ndarray:
+    """Dense (rank, rank, rank) float coefficient tensor, built per call."""
+    import numpy as np
+
+    t = np.zeros((ring.rank,) * 3)
+    for (i, j, k), m in ring.coeffs.items():
+        t[i, j, k] = m
+    return t
+
+
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
     import numpy as np
 
@@ -189,32 +189,22 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     N_jk^m N_im^l, runs one i at a time in O(rank^3) memory."""
     import numpy as np
 
-    t = ring._tensor
+    t = _dense(ring)
     r = ring.rank
-    dual = list(ring.dual)
     eye = np.eye(r)
 
-    unit_w = _first_mismatch(t[0], eye)
-    if unit_w is None:
-        w = _first_mismatch(t[:, 0, :], eye)
-        unit_w = None if w is None else (w[0], 0, w[1])
-    else:
-        unit_w = (0, unit_w[0], unit_w[1])
-    checks = [AxiomCheck("unit", unit_w is None, unit_w)]
+    # Stages run in order; the witness is the first mismatch of the first failing one.
+    w = _first_mismatch(t[:1], eye[None]) or _first_mismatch(t[:, :1], eye[:, None])
+    checks = [AxiomCheck("unit", w is None, w)]
 
     # N_ij^0 = delta_{j, dual(i)}, then the two Frobenius rotations.
-    dual_target = np.zeros((r, r))
-    for i in range(r):
-        dual_target[i, dual[i]] = 1.0
-    w = _first_mismatch(t[:, :, 0], dual_target)
-    witness = None if w is None else (w[0], w[1], 0)
-    if witness is None:
-        w = _first_mismatch(t, t[dual].transpose(0, 2, 1))
-        witness = w
-    if witness is None:
-        w = _first_mismatch(t, t[:, dual, :].transpose(2, 1, 0))
-        witness = w
-    checks.append(AxiomCheck("dual", witness is None, witness))
+    dual = list(ring.dual)
+    w = (
+        _first_mismatch(t[:, :, :1], eye[dual][:, :, None])
+        or _first_mismatch(t, t[dual].transpose(0, 2, 1))
+        or _first_mismatch(t, t[:, dual, :].transpose(2, 1, 0))
+    )
+    checks.append(AxiomCheck("dual", w is None, w))
 
     w = _first_mismatch(t, t.transpose(1, 0, 2))
     checks.append(AxiomCheck("commutativity", w is None, w))
@@ -242,7 +232,7 @@ def fp_dimensions(ring: FusionRing) -> list[float]:
     import numpy as np
 
     ring.require_verified()
-    t = ring._tensor
+    t = _dense(ring)
     return [float(np.max(np.linalg.eigvals(t[i]).real)) for i in range(ring.rank)]
 
 

@@ -10,7 +10,7 @@ squared dimension halves.  No associator data is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
@@ -98,6 +98,10 @@ class CondensedData:
 
     def total_squared_dim(self) -> float:
         return sum(o.dim**2 for o in self.d0 + self.d1)
+
+    @cached_property
+    def _group(self) -> "ReconstructedGroup":
+        return _reconstruct_group(self)  # a failure raises and is not cached
 
 
 def _z_action(ring: FusionRing, z: int) -> list[int]:
@@ -227,7 +231,15 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     lifted fusion rule is then checked: the residue multiset of the
     children of Y_i (x) Y_j must be {+-(i+j), +-(i-j)} mod N.  Fails
     (defensively) with a witnessing pair on inconsistent input.
+
+    Computed once per data; the returned group's own data answers with
+    the same group.
     """
+    return data._group
+
+
+def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
+    """CondensedData._group."""
     ring, z = data.ring, data.z
     order = len(data.d0)
     unit_positions = [p for p, o in enumerate(data.d0) if 0 in o.sources]
@@ -299,9 +311,12 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     )
     new_data = replace(data, d0=filled)
     assignment = {obj.name: residue_of_pos[pos] for pos, obj in enumerate(data.d0)}
-    return ReconstructedGroup(
+    group = ReconstructedGroup(
         order=order, cyclic=True, assignment=assignment, data=new_data
     )
+    # new_data differs from data only in group_elem, which is never read here.
+    vars(new_data)["_group"] = group
+    return group
 
 
 @dataclass(frozen=True)

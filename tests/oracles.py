@@ -208,6 +208,38 @@ def associativity_violations(ring: FusionRing) -> list[tuple[int, int, int, int]
     return bad
 
 
+def first_axiom_witnesses(ring: FusionRing) -> dict[str, tuple[int, int, int] | None]:
+    """First failing (i, j, k) of the unit, dual and commutativity checks by
+    a pure-Python scan, stage after stage, each stage in row-major order;
+    None where the family holds.  Stages: unit N_0j^k = N_j0^k = delta_jk
+    (first the (0, j, k), then the (i, 0, k) triples); dual
+    N_ij^0 = delta_{j, i*}, then N_ij^k = N_{i*k}^j, then N_ij^k = N_{kj*}^i;
+    commutativity N_ij^k = N_ji^k."""
+    r, n, dual = ring.rank, ring.n, ring.dual
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    cube = [(i, j, k) for i in range(r) for (j, k) in pairs]
+
+    def first(*stages):
+        for triples, holds in stages:
+            for ijk in triples:
+                if not holds(*ijk):
+                    return ijk
+        return None
+
+    return {
+        "unit": first(
+            ([(0, j, k) for j, k in pairs], lambda i, j, k: n(i, j, k) == (j == k)),
+            ([(i, 0, k) for i, k in pairs], lambda i, j, k: n(i, j, k) == (i == k)),
+        ),
+        "dual": first(
+            ([(i, j, 0) for i, j in pairs], lambda i, j, k: n(i, j, k) == (j == dual[i])),
+            (cube, lambda i, j, k: n(i, j, k) == n(dual[i], k, j)),
+            (cube, lambda i, j, k: n(i, j, k) == n(k, dual[j], i)),
+        ),
+        "commutativity": first((cube, lambda i, j, k: n(i, j, k) == n(j, i, k))),
+    }
+
+
 def dihedral_character_coeffs(n: int) -> dict[tuple[int, int, int], int]:
     """Fusion coefficients of the order-2n dihedral group's character ring,
     derived from character inner products (n odd).

@@ -238,6 +238,23 @@ def test_cli_error_goes_to_stderr():
     assert "degenerate form" in proc.stderr
 
 
+def test_closed_pipe_exits_quietly():
+    """`modcat cyclic build 99999 1 | head -c 100`: the 2.8 MB table
+    overflows the pipe buffer, the reader leaves, and the command still
+    exits with its own status and an empty stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "modcat.cli", "cyclic", "build", "99999", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == b""
+
+
 # ------------------------------------------------------- strict ring data
 
 

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import math
 import pickle
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +19,11 @@ from modcat.fusion import (
     universal_grading,
     verify_fusion_ring,
 )
-from modcat.metaplectic import so_n2_fusion
+from modcat.metaplectic import condense_z2, so_n2_fusion
 from tests.oracles import (
     associativity_violations,
     dihedral_character_coeffs,
+    first_axiom_witnesses,
     fp_identity_residual,
     grading_components_by_search,
 )
@@ -68,6 +71,53 @@ def test_vectorized_check_matches_bruteforce_oracle():
                     failing += 1
                     assert check.witness == min(oracle_bad)
     assert failing >= 20
+
+
+def corrupted_rings(count: int, seed: int):
+    """Pointed, dihedral and SO(N)_2 rings of rank <= 12, each with 1-3
+    coefficients set to 0, 1 or 2 or bumped by one; about a third also get
+    a shuffled dual."""
+    rng = random.Random(seed)
+    bases = (
+        [pointed_cyclic_ring(n) for n in range(1, 13)]
+        + [dihedral_fusion(n) for n in range(3, 22, 2)]
+        + [so_n2_fusion(n) for n in range(3, 18, 2)]
+    )
+    for _ in range(count):
+        ring = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = (rng.randrange(ring.rank) for _ in range(3))
+            m = rng.choice((0, 1, 2, ring.n(i, j, k) + 1))
+            ring = ring.with_coefficient(i, j, k, m)
+        if rng.random() < 1 / 3:
+            dual = list(ring.dual)
+            rng.shuffle(dual)
+            ring = FusionRing(ring.rank, ring.labels, dual, ring.coeffs)
+        yield ring
+
+
+def test_axiom_witnesses_match_row_major_oracles():
+    failures = Counter()
+    for ring in corrupted_rings(300, seed=10):
+        expected = first_axiom_witnesses(ring)
+        expected["associativity"] = min(associativity_violations(ring), default=None)
+        report = verify_fusion_ring(ring)
+        assert {c.name: c.witness for c in report.checks} == expected
+        assert all(c.passed == (c.witness is None) for c in report.checks)
+        failures.update(c.name for c in report.checks if not c.passed)
+    assert set(failures) == set(expected)
+    assert min(failures.values()) >= 20, failures
+
+
+def test_rings_keep_no_dense_arrays():
+    import numpy as np
+
+    for ring in (so_n2_fusion(9), dihedral_fusion(7), pointed_cyclic_ring(2)):
+        assert verify_fusion_ring(ring).all_passed
+        fp_dimensions(ring)
+        condense_z2(ring, 1)  # index 1 is an involution in each
+        held = [name for name, v in vars(ring).items() if isinstance(v, np.ndarray)]
+        assert held == []
 
 
 def test_multiplicity_exactness_bound():

@@ -236,6 +236,17 @@ def test_reconstruct_rejects_foreign_shape():
     data = condense_z2(pointed_cyclic_ring(2), 1)
     with pytest.raises(GroupReconstructionError):
         reconstruct_group(data)
+    with pytest.raises(GroupReconstructionError):  # failures are not cached
+        reconstruct_group(data)
+
+
+def test_group_law_is_reconstructed_once():
+    data = condense_z2(so_n2_fusion(15), 1)
+    group = reconstruct_group(data)
+    assert reconstruct_group(data) is group
+    assert reconstruct_group(group.data) is group
+    assert group.data == replace(data, d0=group.data.d0)
+    assert is_tambara_yamagami(group.data).group_order == 15
 
 
 # --------------------------------------------------------- Tambara-Yamagami
