@@ -4,21 +4,22 @@ Frobenius-Perron dimensions, universal grading, and subring extraction.
 A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
-immutable and keeps its sparse rules, the fuse index and its axiom report.
-Axiom verification and FP dimensions build a dense float tensor for one
-call and import numpy there, so building a ring or reading its rules never
-loads numpy.
+immutable and keeps its sparse rules, the fuse index, its axiom report and
+its FP dimensions.  Every check runs in exact Python integers over the
+sparse rules, with no dense tensor and no numpy: the axioms compare sparse
+keys and join rows of the fuse index (see verify_fusion_ring for the
+cost), and FP dimensions come from a float power iteration that is then
+certified exactly for weakly integral rings.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Mapping
 
 Coeffs = dict[tuple[int, int, int], int]
 
@@ -32,7 +33,6 @@ class FusionRing:
     """Sparse fusion-ring data, immutable.
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
-    rank * max(m)^2 < 2^53 keeps every float64 axiom sum exact.
     """
 
     rank: int
@@ -55,8 +55,6 @@ class FusionRing:
                 raise ValueError(f"coefficient index out of range: {(i, j, k)}")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
-        if self.rank * max(self.coeffs.values(), default=0) ** 2 >= 2**53:
-            raise ValueError("multiplicities too large: need rank * max(m)^2 < 2^53")
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.coeffs.get((i, j, k), 0)
@@ -78,6 +76,10 @@ class FusionRing:
     @cached_property
     def _report(self) -> "FusionReport":
         return _check_axioms(self)
+
+    @cached_property
+    def _fp(self) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
+        return _frobenius_perron(self)
 
     def __reduce__(self):  # a mappingproxy cannot be pickled; rebuild from a dict
         return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs))
@@ -156,84 +158,232 @@ class FusionReport:
         }
 
 
-def _dense(ring: FusionRing) -> np.ndarray:
-    """Dense (rank, rank, rank) float coefficient tensor, built per call."""
-    import numpy as np
-
-    t = np.zeros((ring.rank,) * 3)
-    for (i, j, k), m in ring.coeffs.items():
-        t[i, j, k] = m
-    return t
-
-
-def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
-    import numpy as np
-
-    bad = np.argwhere(a != b)
-    if bad.size == 0:
-        return None
-    return tuple(int(x) for x in bad[0])
-
-
 def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     """Check the fusion axioms; failures are data (witnesses), not errors.
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
-    associativity over all index quadruples.  Computed once per ring.
+    associativity over all index quadruples.  Computed once per ring, in
+    exact integers.  Unit, dual and commutativity cost O(nnz).
+    Associativity joins rows of the fuse index: checking row i costs
+    sum_j sum_(m in i (x) j) |row m| + sum_(j, k) sum_(m in j (x) k) |i (x) m|
+    multiply-adds plus rank^2 steps.  Only a generating set of rows is
+    checked, three for SO(N)_2; when the unit law fails, row 0 is not
+    known to pass and joins the set.  A failing generator row means
+    scanning rows in order for the first witness, and a ring whose
+    products never peel has every row as a generator: at most
+    join_cost(ring) steps in all.
     """
     return ring._report
 
 
-def _check_axioms(ring: FusionRing) -> FusionReport:
-    """FusionRing._report.  Associativity, sum_m N_ij^m N_mk^l == sum_m
-    N_jk^m N_im^l, runs one i at a time in O(rank^3) memory."""
-    import numpy as np
+def join_cost(ring: FusionRing) -> int:
+    """Steps of the associativity scan over every row: rank^3 plus the
+    multiply-adds, sum over m of #{(i, j) : m in i (x) j} times (|row m| +
+    |column m|).  O(nnz) from coeffs, without building the fuse index."""
+    targets, rows, middles = Counter(), Counter(), Counter()
+    for i, j, k in ring.coeffs:
+        targets[k] += 1
+        rows[i] += 1
+        middles[j] += 1
+    return ring.rank**3 + sum(t * (rows[m] + middles[m]) for m, t in targets.items())
 
-    t = _dense(ring)
-    r = ring.rank
-    eye = np.eye(r)
+
+def _mismatch(a: Mapping, b: Mapping) -> tuple | int | None:
+    """The smallest key (row-major for index tuples) at which two sparse
+    tensors differ, or None when they are equal."""
+    if a == b:
+        return None
+    return min(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+
+
+def _check_axioms(ring: FusionRing) -> FusionReport:
+    """FusionRing._report.
+
+    Each stage compares N with a delta or with a permuted copy of itself,
+    so it can only fail on a key of either side: the first witness is the
+    smallest differing key, found without a dense tensor.
+    """
+    r, coeffs, dual = ring.rank, ring.coeffs, ring.dual
+    inverse = [0] * r
+    for i, d in enumerate(dual):
+        inverse[d] = i
+
+    def restrict(keep) -> dict:
+        return {key: m for key, m in coeffs.items() if keep(*key)}
+
+    def permuted(move) -> dict:  # Q with Q[move(key)] = N[key]
+        return {move(*key): m for key, m in coeffs.items()}
 
     # Stages run in order; the witness is the first mismatch of the first failing one.
-    w = _first_mismatch(t[:1], eye[None]) or _first_mismatch(t[:, :1], eye[:, None])
+    w = _mismatch(
+        restrict(lambda i, j, k: i == 0), {(0, j, j): 1 for j in range(r)}
+    ) or _mismatch(restrict(lambda i, j, k: j == 0), {(i, 0, i): 1 for i in range(r)})
     checks = [AxiomCheck("unit", w is None, w)]
+    unit_holds = w is None
 
-    # N_ij^0 = delta_{j, dual(i)}, then the two Frobenius rotations.
-    dual = list(ring.dual)
+    # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j and N_ij^k = N_{k j*}^i.
     w = (
-        _first_mismatch(t[:, :, :1], eye[dual][:, :, None])
-        or _first_mismatch(t, t[dual].transpose(0, 2, 1))
-        or _first_mismatch(t, t[:, dual, :].transpose(2, 1, 0))
+        _mismatch(restrict(lambda i, j, k: k == 0), {(i, dual[i], 0): 1 for i in range(r)})
+        or _mismatch(coeffs, permuted(lambda a, b, c: (inverse[a], c, b)))
+        or _mismatch(coeffs, permuted(lambda a, b, c: (c, inverse[b], a)))
     )
     checks.append(AxiomCheck("dual", w is None, w))
 
-    w = _first_mismatch(t, t.transpose(1, 0, 2))
+    w = _mismatch(coeffs, permuted(lambda a, b, c: (b, a, c)))
     checks.append(AxiomCheck("commutativity", w is None, w))
 
+    # The rows x with (x y) z = x (y z) for all y, z form a subspace closed
+    # under products, so checking a generating set of rows decides the
+    # axiom; the row-major first witness needs the rows in order.
+    gens = _generators(ring, {0} if unit_holds else set())
     w = None
-    for i in range(r):
-        lhs = t[i] @ t.reshape(r, r * r)  # (j, k*r + l) = sum_m t[i,j,m] t[m,k,l]
-        rhs = t.reshape(r * r, r) @ t[i]  # (j*r + k, l) = sum_m t[j,k,m] t[i,m,l]
-        jkl = _first_mismatch(lhs.reshape(r, r, r), rhs.reshape(r, r, r))
-        if jkl is not None:
-            w = (i, *jkl)
-            break
+    if any(_row_witness(ring, g) for g in gens):
+        w = next(filter(None, (_row_witness(ring, i) for i in range(r))))
     checks.append(AxiomCheck("associativity", w is None, w))
 
     return FusionReport(tuple(checks))
+
+
+def _generators(ring: FusionRing, known: set[int]) -> list[int]:
+    """Indices G such that any subspace of the ring closed under products
+    that holds G and the known indices holds every index.
+
+    Peels: while some known x and g in G give an x (x) g with exactly one
+    component outside the known set, that component is known too; when
+    that stalls, the smallest unknown index becomes a generator.  SO(N)_2
+    gives G = [Z, X1, Y1], a dihedral ring two rows and a pointed ring one.
+    """
+    rows, known, gens = ring._rows, set(known), []
+    members = sorted(known)
+    while len(known) < ring.rank:
+        gens.append(min(set(range(ring.rank)) - known))
+        known.add(gens[-1])
+        members.append(gens[-1])
+        grown = True
+        while grown:
+            grown = False
+            for x in members:  # members grows while the loop runs
+                for g in gens:
+                    outside = [c for c in rows[x][g] if c not in known]
+                    if len(outside) == 1:
+                        known.add(outside[0])
+                        members.append(outside[0])
+                        grown = True
+    return gens
+
+
+def _row_witness(ring: FusionRing, i: int) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l), row-major, with sum_m N_ij^m N_mk^l != sum_m
+    N_jk^m N_im^l: the coefficient of l in (x_i x_j) x_k and x_i (x_j x_k)."""
+    rows = ring._rows
+    row_i = rows[i]
+    for j, ij in enumerate(row_i):
+        left = [(rows[m], a) for m, a in ij.items()]
+        for k, jk in enumerate(rows[j]):
+            lhs: dict[int, int] = {}
+            for row_m, a in left:
+                for l, b in row_m[k].items():
+                    lhs[l] = lhs.get(l, 0) + a * b
+            rhs: dict[int, int] = {}
+            for m, a in jk.items():
+                for l, b in row_i[m].items():
+                    rhs[l] = rhs.get(l, 0) + a * b
+            if lhs != rhs:
+                return (i, j, k, _mismatch(lhs, rhs))
+    return None
 
 
 def fp_dimensions(ring: FusionRing) -> list[float]:
     """Frobenius-Perron dimension of each simple object.
 
     The FP dimension of object i is the spectral radius of its fusion
-    matrix, which for a non-negative integer matrix is its largest real
-    eigenvalue.  Requires a ring that passes verification.
+    matrix L_i.  The vector d of them is the positive common eigenvector,
+    L_i d = d_i d (Etingof-Nikshych-Ostrik), found by power iteration on
+    R = sum_i L_i.  When the ring is weakly integral the squares a_i =
+    d_i^2 are integers, the identity is certified exactly and d_i is
+    math.sqrt(a_i); otherwise d is the float Perron vector, checked by
+    fp_identity_residual.  Requires a ring that passes verification.
     """
-    import numpy as np
-
     ring.require_verified()
-    t = _dense(ring)
-    return [float(np.max(np.linalg.eigvals(t[i]).real)) for i in range(ring.rank)]
+    return list(ring._fp[0])
+
+
+def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
+    """FusionRing._fp: the FP dimensions and, for a weakly integral ring,
+    their exact squares (else None)."""
+    # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
+    # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
+    r, terms = ring.rank, ring.coeffs.items()
+    v = [1.0 / r] * r
+    for _ in range(64):
+        w = [0.0] * r
+        for (i, j, k), m in terms:
+            w[k] += m * v[i] * v[j]
+        total = sum(w)
+        w = [x / total for x in w]
+        step = max(abs(a - b) for a, b in zip(v, w))
+        v = w
+        if step <= 1e-12 * max(w):
+            break
+    dims = [x / v[0] for x in v]
+    squares = _certified_squares(ring, [round(d * d) for d in dims])
+    if squares is not None:
+        return tuple(math.sqrt(a) for a in squares), squares
+    if fp_identity_residual(ring, dims) > 1e-9 * max(dims) ** 2:
+        raise ArithmeticError("Frobenius-Perron power iteration did not converge")
+    return tuple(dims), None
+
+
+def _certified_squares(ring: FusionRing, a: list[int]) -> tuple[int, ...] | None:
+    """a when d_i = sqrt(a_i) satisfies L_i d = d_i d exactly, else None.
+
+    sqrt(a) and sqrt(b) are rationally dependent iff ab is a square, so
+    the objects fall into classes with representatives s_c, and sqrt(a_k)
+    = t_k / sqrt(s_c) with t_k = isqrt(a_k s_c).  Square roots of distinct
+    squarefree numbers are linearly independent over Q, so d_g d_j =
+    sum_k N_gj^k d_k holds iff the terms of g (x) j fall in one class c
+    and (sum N_gj^k t_k)^2 = a_g a_j s_c.  It is checked on the generator
+    rows g: the x with L_x d a multiple of d form a subspace that holds
+    the unit and, as L_xy = L_x L_y in a verified ring, is closed under
+    products, hence every row; the unit component of L_x d = c d gives
+    c = d_x.  A positive eigenvector of the non-negative L_x belongs to
+    its spectral radius.
+    """
+    reps: list[int] = []
+    cls: list[int] = []
+    root: list[int] = []
+    for ak in a:
+        for c, s in enumerate(reps):
+            t = math.isqrt(ak * s)
+            if t * t == ak * s:
+                break
+        else:
+            c, t = len(reps), ak
+            reps.append(ak)
+        cls.append(c)
+        root.append(t)
+    rows = ring._rows
+    for g in _generators(ring, {0}):
+        for j in range(ring.rank):
+            sums: dict[int, int] = {}
+            for k, m in rows[g][j].items():
+                sums[cls[k]] = sums.get(cls[k], 0) + m * root[k]
+            if len(sums) != 1:
+                return None
+            ((c, t),) = sums.items()
+            if t * t != a[g] * a[j] * reps[c]:
+                return None
+    return tuple(a)
+
+
+def fp_identity_residual(ring: FusionRing, dims: list[float]) -> float:
+    """Max violation of d_i d_j = sum_k N_ij^k d_k over all pairs."""
+    worst = 0.0
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            rhs = sum(m * dims[k] for k, m in ring.fuse(i, j).items())
+            worst = max(worst, abs(dims[i] * dims[j] - rhs))
+    return worst
 
 
 def global_dimension(ring: FusionRing) -> float:

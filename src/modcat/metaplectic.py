@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
-from .fusion import FusionRing, _dihedral_rules, fp_dimensions, universal_grading
+from .fusion import FusionRing, _dihedral_rules, universal_grading
 from .numthy import distinct_primes
 
 
@@ -26,15 +26,15 @@ class GroupReconstructionError(ValueError):
     """Condensed identity-sector fusion is inconsistent with a cyclic group."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def so_n2_fusion(n: int) -> FusionRing:
     """The SO(N)_2 fusion ring for odd N >= 3 (rank (N+7)/2).
 
     Simples: 1, Z, X1, X2, Y_1..Y_{(N-1)/2}, all self-dual.  Z swaps the
     two X's and fixes every Y; the X's square to 1 plus all Y's and mix
     to Z plus all Y's; Y_i (x) Y_j = Y_min(i+j, N-i-j) + Y_|i-j| with
-    Y_i^2 = 1 + Z + Y_min(2i, N-2i).  Cached; every caller shares one
-    immutable ring, so it is verified at most once.
+    Y_i^2 = 1 + Z + Y_min(2i, N-2i).  The last 8 rings are cached; their
+    callers share one immutable ring, so it is verified once while cached.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
@@ -139,7 +139,8 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     z = Z this produces N invertibles in the identity sector and a single
     sqrt(N)-dimensional object in the other.  The float dimensions, and the
     warning of a fixed simple with odd dimension, are display only: no
-    recognition decision reads them.
+    recognition decision reads them.  The warning reads the exact squared
+    dimensions, so only a weakly integral ring can raise it.
     """
     ring.require_verified()
     if not 0 < z < ring.rank:
@@ -147,7 +148,7 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
             f"z = {z}: need a non-unit object index, 1 <= z < {ring.rank}"
         )
     sigma = _z_action(ring, z)
-    dims = fp_dimensions(ring)
+    dims, squares = ring._fp
     grading = universal_grading(ring)
     if not grading.cyclic:
         raise CondensationInputError(
@@ -168,7 +169,7 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
             continue  # orbit already handled from its smaller member
         if j == i:
             d = dims[i]
-            if abs(d - round(d)) < 1e-6 and round(d) % 2 == 1:
+            if squares and isqrt(squares[i]) ** 2 == squares[i] and squares[i] % 2:
                 warnings.append(
                     f"fixed simple {ring.labels[i]} has odd dimension {d:g}; "
                     "its halves are non-integral"

@@ -274,16 +274,6 @@ def dihedral_character_coeffs(n: int) -> dict[tuple[int, int, int], int]:
     return coeffs
 
 
-def fp_identity_residual(ring: FusionRing, dims: list[float]) -> float:
-    """Max violation of d_i d_j = sum_k N_ij^k d_k over all pairs."""
-    worst = 0.0
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            rhs = sum(m * dims[k] for k, m in ring.fuse(i, j).items())
-            worst = max(worst, abs(dims[i] * dims[j] - rhs))
-    return worst
-
-
 def so_n2_by_rules(n: int) -> FusionRing:
     """SO(N)_2 built rule by rule, each coefficient counted as it is added:
     units, Z swapping the X's and fixing the Y's, X (x) X = 1 + all Y's,

@@ -1,14 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from modcat.cli import MAX_FACTOR_N, MAX_N, MAX_RANK, run
+import modcat
+from modcat.cli import MAX_FACTOR_N, MAX_JOIN, MAX_N, MAX_RANK, run
 from modcat.cyclic import are_equivalent
 from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring
 from modcat.metaplectic import so_n2_fusion
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter, with modcat's source root on
+    PYTHONPATH: pytest's `pythonpath` setting reaches only this process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modcat.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
 
 
 def payload_of(argv):
@@ -222,6 +233,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "modcat.cli", "meta", "count", "3", "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"N":3,"count":4}'
@@ -232,6 +244,7 @@ def test_cli_error_goes_to_stderr():
         [sys.executable, "-m", "modcat.cli", "cyclic", "build", "9", "3"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -246,6 +259,7 @@ def test_closed_pipe_exits_quietly():
         [sys.executable, "-m", "modcat.cli", "cyclic", "build", "99999", "1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env(),
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -301,9 +315,9 @@ OVERSIZED = {  # case: (argv, the limit named in the refusal)
     ),
     "meta-count": (["meta", "count", ABOVE_FACTOR_N], "MAX_FACTOR_N"),
     "meta-enumerate": (["meta", "enumerate", ABOVE_FACTOR_N], "MAX_FACTOR_N"),
-    "so2-fusion": (["so2", "fusion", "295"], "MAX_RANK = 150"),
-    "so2-verify": (["so2", "verify", "295"], "MAX_RANK = 150"),
-    "so2-condense": (["so2", "condense", "301"], "MAX_RANK = 150"),
+    "so2-fusion": (["so2", "fusion", "495"], "MAX_RANK = 250"),
+    "so2-verify": (["so2", "verify", "495"], "MAX_RANK = 250"),
+    "so2-condense": (["so2", "condense", "501"], "MAX_RANK = 250"),
 }
 
 
@@ -316,7 +330,7 @@ def test_oversized_input_exits_one_naming_the_limit(case):
 
 
 def test_limits_admit_their_boundary():
-    assert run(["so2", "fusion", "293"]).status == 0  # rank 150
+    assert run(["so2", "fusion", "493"]).status == 0  # rank 250
     result = run(["cyclic", "build", "1000000", "1"])  # at MAX_N: refused as even
     assert result.status == 1 and "even modulus" in result.table
     result = run(["meta", "count", str(MAX_FACTOR_N)])  # refused as even
@@ -325,18 +339,38 @@ def test_limits_admit_their_boundary():
     assert run(["cyclic", "autos", str(prime), "1"]).payload["autos"] == [1, prime - 1]
 
 
-def test_ring_verify_refuses_rank_above_limit(tmp_path):
-    path = tmp_path / "rank151.json"
-    path.write_text(json.dumps(pointed_cyclic_ring(151).to_json_dict()))
+def test_ring_verify_refuses_join_cost_above_limit(tmp_path):
+    # A pointed Z_n ring costs 3 n^3: n = 149 is admitted, n = 150 is not.
+    for n, status in ((149, 0), (150, 1)):
+        path = tmp_path / f"pointed{n}.json"
+        path.write_text(json.dumps(pointed_cyclic_ring(n).to_json_dict()))
+        result = run(["ring", "verify", "--file", str(path)])
+        assert result.status == status
+    assert f"join cost = {3 * 150**3} is above the limit MAX_JOIN = {MAX_JOIN}" in result.table
+
+
+def test_dense_ring_file_is_refused_quickly(tmp_path):
+    # All-ones rules: no product peels, so a full scan would join 2 rank^5
+    # terms, about a minute of pure Python at rank 40.
+    rank = 40
+    data = {
+        "rank": rank,
+        "labels": [str(i) for i in range(rank)],
+        "dual": list(range(rank)),
+        "N": [[i, j, k, 1] for i in range(rank) for j in range(rank) for k in range(rank)],
+    }
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
     result = run(["ring", "verify", "--file", str(path)])
-    assert result.status == 1
-    assert "rank = 151 is above the limit MAX_RANK = 150" in result.table
+    assert time.perf_counter() - start < 1.0
+    assert result.status == 1 and "MAX_JOIN" in result.table
 
 
 # ------------------------------------------------------------ numpy import
 
 
-NUMPY_FREE = [
+SUBCOMMANDS = [
     ["cyclic", "build", "15", "2"],
     ["cyclic", "classify", "45"],
     ["cyclic", "equiv", "15", "1", "2"],
@@ -348,34 +382,44 @@ NUMPY_FREE = [
     ["meta", "count", "15"],
     ["meta", "enumerate", "15", "--format", "json"],
     ["so2", "fusion", "7", "--format", "json"],
+    ["so2", "verify", "7"],
+    ["so2", "condense", "7", "--format", "json"],
 ]
-NUMPY_FREE_REFUSALS = [
+REFUSALS = [
     ["cyclic", "build", "five", "1"],
     ["so2", "verify", "14"],
 ]
 
 
-def test_only_float_commands_import_numpy(tmp_path):
-    """The exact commands, a malformed ring file and bad arguments never
-    load numpy; `so2 verify` does.  Runs in a fresh interpreter, since this
-    one already holds numpy."""
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"rank": 2, "labels": ["1"]')
-    refusals = NUMPY_FREE_REFUSALS + [["ring", "verify", "--file", str(malformed)]]
+def test_no_command_imports_numpy(tmp_path):
+    """All 14 subcommands, on a valid, a broken and a malformed ring file
+    and on bad arguments, run without loading numpy.  Runs in a fresh
+    interpreter, since this one already holds numpy."""
+    files = {
+        "valid": so_n2_fusion(7).to_json_dict(),
+        "broken": so_n2_fusion(7).with_coefficient(4, 5, 6, 2).to_json_dict(),
+    }
+    rings = []
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+        rings.append(["ring", "verify", "--file", str(tmp_path / name)])
+    (tmp_path / "malformed").write_text('{"rank": 2, "labels": ["1"]')
+    refusals = REFUSALS + [["ring", "verify", "--file", str(tmp_path / "malformed")]]
+    commands = SUBCOMMANDS + rings + refusals
+    assert len({tuple(argv[:2]) for argv in commands}) == 14
     script = f"""
 import json, sys
 import modcat, modcat.cli
-statuses = [modcat.cli.run(argv).status for argv in {NUMPY_FREE + refusals!r}]
-before = "numpy" in sys.modules
-statuses.append(modcat.cli.run(["so2", "verify", "7"]).status)
-print(json.dumps([statuses, before, "numpy" in sys.modules]))
+statuses = [modcat.cli.run(argv).status for argv in {commands!r}]
+print(json.dumps([statuses, "numpy" in sys.modules]))
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
-    statuses, before, after = json.loads(proc.stdout)
-    assert statuses == [0] * len(NUMPY_FREE) + [1] * len(refusals) + [0]
-    assert before is False
-    assert after is True
+    statuses, loaded = json.loads(proc.stdout)
+    assert statuses == [0] * len(SUBCOMMANDS) + [0, 2] + [1] * len(refusals)
+    assert loaded is False
 
 
 # ------------------------------------------------------ integer arguments

@@ -11,8 +11,11 @@ from hypothesis import given, settings, strategies as st
 from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
+    _generators,
+    _row_witness,
     dihedral_fusion,
     fp_dimensions,
+    fp_identity_residual,
     global_dimension,
     pointed_cyclic_ring,
     subring_generated,
@@ -24,7 +27,6 @@ from tests.oracles import (
     associativity_violations,
     dihedral_character_coeffs,
     first_axiom_witnesses,
-    fp_identity_residual,
     grading_components_by_search,
 )
 
@@ -109,6 +111,27 @@ def test_axiom_witnesses_match_row_major_oracles():
     assert min(failures.values()) >= 20, failures
 
 
+def test_generator_rows_decide_associativity():
+    # The rows that pass form a subspace closed under products, with or
+    # without a unit, so the generator rows decide what the full scan does.
+    outcomes = Counter()
+    for ring in corrupted_rings(1200, seed=5):
+        unit = verify_fusion_ring(ring).check("unit").passed
+        generators = _generators(ring, {0} if unit else set())
+        by_generators = all(_row_witness(ring, g) is None for g in generators)
+        by_full_scan = all(_row_witness(ring, i) is None for i in range(ring.rank))
+        assert by_generators == by_full_scan
+        outcomes[unit, by_full_scan] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+
+
+def test_generators_of_the_families():
+    for n in (5, 7, 31):
+        assert _generators(so_n2_fusion(n), {0}) == [1, 2, 4]  # Z, X1, Y1
+        assert _generators(dihedral_fusion(n), {0}) == [1, 2]  # Z, Y1
+        assert _generators(pointed_cyclic_ring(n), {0}) == [1]
+
+
 def test_rings_keep_no_dense_arrays():
     import numpy as np
 
@@ -121,31 +144,34 @@ def test_rings_keep_no_dense_arrays():
 
 
 def test_multiplicity_exactness_bound():
-    # Associative only up to float64 rounding: at (0,0,1,1) the two sides
-    # are (2^30+2)(2^30+3) + (2^30+1) and (2^30+3)^2, which differ by 2.
+    # Python ints keep every axiom sum exact, so there is no bound on the
+    # multiplicities.  This ring fails associativity at (0, 0, 1, 1), where
+    # the sides are (2^30+2)(2^30+3) + (2^30+1) and (2^30+3)^2: they differ
+    # by 2, which float64 sums would round away.
     big = 2**30
-    with pytest.raises(ValueError, match="2\\^53"):
-        FusionRing(
-            rank=2,
-            labels=("a", "b"),
-            dual=(0, 1),
-            coeffs={
-                (0, 0, 0): big + 2,
-                (0, 0, 1): 1,
-                (0, 1, 1): big + 3,
-                (1, 0, 1): big + 3,
-                (1, 1, 1): big + 1,
-            },
-        )
+    ring = FusionRing(
+        rank=2,
+        labels=("a", "b"),
+        dual=(0, 1),
+        coeffs={
+            (0, 0, 0): big + 2,
+            (0, 0, 1): 1,
+            (0, 1, 1): big + 3,
+            (1, 0, 1): big + 3,
+            (1, 1, 1): big + 1,
+        },
+    )
+    check = verify_fusion_ring(ring).check("associativity")
+    assert check.witness == min(associativity_violations(ring)) == (0, 0, 1, 1)
 
     def golden(m):  # x^2 = 1 + m x: a valid rank-2 ring
         coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): m}
         return FusionRing(rank=2, labels=("1", "x"), dual=(0, 1), coeffs=coeffs)
 
-    assert 2 * (2**26 - 1) ** 2 < 2**53 == 2 * (2**26) ** 2
-    assert verify_fusion_ring(golden(2**26 - 1)).all_passed
-    with pytest.raises(ValueError):
-        golden(2**26)
+    for m in (2**26 - 1, 2**26, 2**40):
+        ring = golden(m)
+        assert verify_fusion_ring(ring).all_passed
+        assert fp_dimensions(ring)[1] == pytest.approx((m + math.sqrt(m * m + 4)) / 2)
 
 
 def test_ring_is_immutable_and_verified_once():
@@ -226,6 +252,28 @@ def test_fp_eigenvector_identity():
     for ring in (pointed_cyclic_ring(7), so_n2_fusion(9), dihedral_fusion(11)):
         dims = fp_dimensions(ring)
         assert fp_identity_residual(ring, dims) < 1e-9
+
+
+def test_so_n2_squared_dimensions_are_exact():
+    for n in range(3, 200, 2):
+        ring = so_n2_fusion(n)
+        dims = fp_dimensions(ring)
+        squares = (1, 1, n, n) + (4,) * ((n - 1) // 2)
+        assert ring._fp[1] == squares, n
+        assert dims == [math.sqrt(a) for a in squares]
+
+
+def test_fibonacci_dimensions_fall_back_to_floats():
+    fib = FusionRing(
+        rank=2,
+        labels=("1", "t"),
+        dual=(0, 1),
+        coeffs={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1},
+    )
+    dims = fp_dimensions(fib)
+    assert fib._fp[1] is None  # the golden ratio squared is not an integer
+    assert dims[1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-14)
+    assert fp_identity_residual(fib, dims) < 1e-12
 
 
 def test_fp_dimensions_rejects_unverified_ring():

@@ -1,11 +1,18 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.cyclic import canonical_invariant, classify
-from modcat.fusion import FusionRing, pointed_cyclic_ring, verify_fusion_ring
+from modcat.fusion import (
+    FusionRing,
+    fp_dimensions,
+    pointed_cyclic_ring,
+    verify_fusion_ring,
+)
 from modcat.metaplectic import (
     CondensationInputError,
     CondensedData,
@@ -33,6 +40,14 @@ def test_so3_shape_and_y1_square():
     assert ring.rank == 5
     assert ring.labels == ("1", "Z", "X1", "X2", "Y1")
     assert ring.fuse(4, 4) == {0: 1, 1: 1, 4: 1}  # Y1 x Y1 = 1 + Z + Y1
+
+
+def test_so_n2_cache_keeps_few_rings():
+    so_n2_fusion.cache_clear()
+    maxsize = so_n2_fusion.cache_info().maxsize
+    rings = [weakref.ref(so_n2_fusion(n)) for n in range(3, 200, 2)]
+    gc.collect()
+    assert 6 <= maxsize and sum(ring() is not None for ring in rings) <= maxsize
 
 
 def test_so5_rules():
@@ -186,6 +201,25 @@ def test_condense_flags_odd_dimension_splits():
     fixed_w = [o for o in data.d0 + data.d1 if o.sources == (2,)]
     assert len(fixed_w) == 2
     assert all(abs(o.dim - 1.5) < 1e-9 for o in fixed_w)
+
+
+def test_odd_dimension_warning_reads_exact_squares():
+    # w^2 = 1 + z + m w with z w = w: d_w = (m + sqrt(m^2 + 8)) / 2 lies
+    # within 5e-7 of the odd integer m, but d_w^2 is not an integer.
+    m = 2**22 + 1
+    ring = FusionRing(
+        rank=3,
+        labels=("1", "z", "w"),
+        dual=(0, 1, 2),
+        coeffs={
+            (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+            (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
+            (2, 2, 0): 1, (2, 2, 1): 1, (2, 2, 2): m,
+        },
+    )
+    assert verify_fusion_ring(ring).all_passed
+    assert 0 < fp_dimensions(ring)[2] - m < 1e-6
+    assert condense_z2(ring, 1).warnings == ()
 
 
 def test_condense_free_orbits_produce_no_warnings():
