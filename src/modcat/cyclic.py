@@ -5,9 +5,10 @@ automorphisms, bosons, subgroup condensation, and quantum-double detection.
 A category stores its twists as integer residues over one common
 denominator (n for built categories); `Phase` objects are made only where
 the API hands twists out.  All classification decisions run in exact
-integer arithmetic; complex floats appear only in Gauss sums and the
-numeric modular-relation check.  numpy is imported inside those three
-float functions (`smatrix_complex`, `gauss_sum`,
+integer arithmetic; complex floats appear only in the numeric S-matrix,
+the numeric modular-relation check and the Gauss sum, which is read off
+its closed form (the Jacobi symbol and sqrt(n)).  numpy is imported
+inside the two array functions (`smatrix_complex`,
 `modular_relation_residuals`), so the exact path never loads it.
 """
 
@@ -17,7 +18,7 @@ import cmath
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, sqrt
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .numthy import factorize, jacobi, unit_square_orbits
@@ -237,8 +238,8 @@ def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
 
     n, k = cat.n, cat.k
     idx = np.arange(n)
-    phases = (-2 * k % n) * np.outer(idx, idx) % n
-    return np.exp(2j * np.pi * phases / n) / np.sqrt(n)
+    table = np.exp(2j * np.pi * idx / n)  # the n distinct phases
+    return table[(-2 * k % n) * np.outer(idx, idx) % n] / np.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -274,15 +275,19 @@ def verify_balancing(cat: CyclicCategory) -> BalancingReport:
 
 
 def gauss_sum(n: int, k: int) -> complex:
-    """sum_j e^{2 pi i k j^2 / n}, evaluated numerically.
+    """sum_j e^{2 pi i k j^2 / n}, from its closed form.
 
+    With g = gcd(k, n), the sum runs g times over Z_{n/g} with the unit
+    k/g, and for odd m and a unit a the quadratic Gauss sum is
+    (a|m) eps_m sqrt(m), eps_m = 1 if m = 1 (mod 4) and i otherwise
+    (Berndt, Evans and Williams, Gauss and Jacobi Sums, 1998).  So
     |G| = sqrt(n) exactly when gcd(k, n) = 1.
     """
-    import numpy as np
-
     _require_odd(n)
-    j = np.arange(n)
-    return complex(np.exp(2j * np.pi * ((k * j * j) % n) / n).sum())
+    g = gcd(k, n)
+    m = n // g
+    value = g * jacobi(k // g, m) * sqrt(m)
+    return complex(value, 0) if m % 4 == 1 else complex(0, value)
 
 
 def are_equivalent(n: int, k1: int, k2: int) -> bool:
@@ -474,17 +479,41 @@ def verify_modular_relations(cat: CyclicCategory) -> bool:
 
 
 def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
-    """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I."""
-    import numpy as np
+    """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I.
 
-    n = cat.n
-    s = smatrix_complex(cat)
+    No S-matrix is formed.  With w = e^{2 pi i / n}, S_ij = w^{-2kij} /
+    sqrt(n) is a permuted DFT: S x = fft(x)[p] / sqrt(n), p_i = 2 k i mod
+    n, for any k.  So S T S and S^2 are Hankel: entry (i, l) is
+    h[(i + l) % n], resp. g[(i + l) % n], with h = fft(theta)[p] / n and
+    g = fft(1)[p] / n.  Row i of (S T)^3 = (S T S) T S T is S applied to
+    (h[(i + m) % n] theta_m)_m, scaled by theta_l: one row-wise FFT of an
+    n x n array.  S^4 = (S^2)^2 is circulant with first row
+    c_d = sum_u g_u g_{(u + d) % n}, a correlation taken by FFT.  Time
+    O(n^2 log n); memory two n x n complex arrays at the peak.
+    """
     d = cat.denominator  # int / int rounds correctly, as float(Fraction) does
-    theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
-    st = s * theta[None, :]
-    st3 = st @ st @ st
-    s2 = s @ s
-    anomaly = gauss_sum(n, cat.k) / np.sqrt(n)
-    err1 = float(np.abs(st3 - anomaly * s2).max())
-    err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
-    return err1, err2
+    return _modular_residuals(cat.n, cat.k, [r / d for r in cat.residues])
+
+
+def _modular_residuals(n: int, k: int, fracs: Sequence[float]) -> tuple[float, float]:
+    """modular_relation_residuals for the twists theta_j = e^{2 pi i fracs[j]}."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    def hankel(v: np.ndarray) -> np.ndarray:  # a view: entry (i, l) is v[(i + l) % n]
+        return sliding_window_view(np.concatenate((v, v[:-1])), n)
+
+    theta = np.exp(2j * np.pi * np.array(fracs))
+    perm = (2 * k % n) * np.arange(n) % n  # S x = fft(x)[perm] / sqrt(n)
+    h = np.fft.fft(theta)[perm] / n  # S T S = hankel(h)
+    g = np.fft.fft(np.ones(n))[perm] / n  # S^2 = hankel(g)
+    rows = np.fft.fft(hankel(h) * theta, axis=1)
+    st3 = np.take(rows, perm, axis=1)
+    del rows  # at most two n x n arrays live
+    st3 *= theta / np.sqrt(n)
+    st3 -= hankel(gauss_sum(n, k) / np.sqrt(n) * g)
+    err1 = float(np.abs(st3).max())
+    f = np.fft.fft(g)
+    s4 = np.fft.ifft(f * f[-np.arange(n) % n])  # first row of the circulant S^4
+    s4[0] -= 1
+    return err1, float(np.abs(s4).max())

@@ -20,9 +20,8 @@ from modcat.cyclic import (
     NotASubgroupError,
     NotIsotropicError,
     Phase,
+    _modular_residuals,
     build_cyclic,
-    gauss_sum,
-    smatrix_complex,
 )
 from modcat.fusion import FusionRing
 
@@ -116,17 +115,40 @@ def smatrix_by_entries(cat: CyclicCategory) -> list[list[Phase]]:
     return [[Phase.of(-2 * k * i * j, n) for j in range(n)] for i in range(n)]
 
 
+def smatrix_complex_by_entries(cat: CyclicCategory) -> np.ndarray:
+    """The normalized numeric S-matrix with np.exp taken per entry."""
+    n, k = cat.n, cat.k
+    idx = np.arange(n)
+    phases = (-2 * k % n) * np.outer(idx, idx) % n
+    return np.exp(2j * np.pi * phases / n) / np.sqrt(n)
+
+
+def gauss_sum_by_sum(n: int, k: int) -> complex:
+    """sum_j e^{2 pi i k j^2 / n}, summed term by term."""
+    j = np.arange(n)
+    return complex(np.exp(2j * np.pi * ((k * j * j) % n) / n).sum())
+
+
+def modular_relation_residuals_by_matmul(cat: CyclicCategory) -> tuple[float, float]:
+    """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I from
+    dense n x n matrix products, theta_j from the stored residue over its
+    denominator."""
+    n = cat.n
+    s = smatrix_complex_by_entries(cat)
+    d = cat.denominator
+    theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
+    st = s * theta[None, :]
+    s2 = s @ s
+    anomaly = gauss_sum_by_sum(n, cat.k) / np.sqrt(n)
+    err1 = float(np.abs(st @ st @ st - anomaly * s2).max())
+    err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
+    return err1, err2
+
+
 def modular_relation_residuals_by_phases(cat: CyclicCategory) -> tuple[float, float]:
     """modular_relation_residuals with each theta_j taken from
     float(cat.twists[j].frac), the Phase of the twist."""
-    n = cat.n
-    s = smatrix_complex(cat)
-    theta = np.exp(2j * np.pi * np.array([float(t.frac) for t in cat.twists]))
-    st = s * theta[None, :]
-    s2 = s @ s
-    err1 = float(np.abs(st @ st @ st - gauss_sum(n, cat.k) / np.sqrt(n) * s2).max())
-    err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
-    return err1, err2
+    return _modular_residuals(cat.n, cat.k, [float(t.frac) for t in cat.twists])
 
 
 def perp_by_search(cat: CyclicCategory, h: list[int]) -> list[int]:

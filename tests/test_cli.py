@@ -393,8 +393,9 @@ REFUSALS = [
 
 def test_no_command_imports_numpy(tmp_path):
     """All 14 subcommands, on a valid, a broken and a malformed ring file
-    and on bad arguments, run without loading numpy.  Runs in a fresh
-    interpreter, since this one already holds numpy."""
+    and on bad arguments, and the closed-form Gauss sum run without
+    loading numpy.  Runs in a fresh interpreter, since this one already
+    holds numpy."""
     files = {
         "valid": so_n2_fusion(7).to_json_dict(),
         "broken": so_n2_fusion(7).with_coefficient(4, 5, 6, 2).to_json_dict(),
@@ -411,6 +412,7 @@ def test_no_command_imports_numpy(tmp_path):
 import json, sys
 import modcat, modcat.cli
 statuses = [modcat.cli.run(argv).status for argv in {commands!r}]
+sums = [modcat.gauss_sum(n, k) for n in (1, 3, 5, 45, 1001) for k in (-1, 0, 2, 3)]
 print(json.dumps([statuses, "numpy" in sys.modules]))
 """
     proc = subprocess.run(

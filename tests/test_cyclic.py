@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.cyclic import (
+    MODULAR_TOL,
     ClassDescriptor,
     CondensationError,
     CyclicCategory,
@@ -44,10 +46,13 @@ from tests.oracles import (
     braided_autos_by_search,
     condense_by_search,
     equivalent_by_unit_search,
+    gauss_sum_by_sum,
     is_nondegenerate,
     lagrangian_subgroup_by_search,
+    modular_relation_residuals_by_matmul,
     modular_relation_residuals_by_phases,
     smatrix_by_entries,
+    smatrix_complex_by_entries,
     units,
 )
 
@@ -211,6 +216,15 @@ def test_smatrix_complex_is_normalized():
     assert abs(abs(s[0, 0]) - 1 / math.sqrt(7)) < 1e-12
 
 
+def test_smatrix_complex_matches_entrywise_exp_bit_for_bit():
+    """The table of n distinct phases gives the bytes of np.exp taken per
+    entry, for odd n < 200 and n in {997, 1001}, with k in {1, 2, n - 1}."""
+    for n in [*range(1, 200, 2), 997, 1001]:
+        for k in {1, 2 % n, n - 1}:
+            cat = _twists_with(n, k, {})
+            assert smatrix_complex(cat).tobytes() == smatrix_complex_by_entries(cat).tobytes()
+
+
 # ---------------------------------------------------------------- balancing
 
 
@@ -297,6 +311,14 @@ def test_gauss_sum_examples():
     g = gauss_sum(3, 1)
     assert abs(g - 1j * math.sqrt(3)) < 1e-9
     assert abs(abs(gauss_sum(15, 2)) - math.sqrt(15)) < 1e-9
+
+
+def test_gauss_closed_form_matches_term_sum():
+    """The closed form is within 1e-12 sqrt(n) of the term-by-term sum for
+    odd n < 400 and every k in [-3, n + 3), non-units and k = 0 included."""
+    for n in range(1, 400, 2):
+        for k in range(-3, n + 3):
+            assert abs(gauss_sum(n, k) - gauss_sum_by_sum(n, k)) <= 1e-12 * math.sqrt(n)
 
 
 def test_gauss_magnitude_detects_degeneracy():
@@ -613,6 +635,46 @@ def test_modular_residuals_match_phase_oracle_bit_for_bit():
             moved[k % n] += Phase.of(1, 2 * n)
             for c in (cat, CyclicCategory(n, k, tuple(moved))):
                 assert modular_relation_residuals(c) == modular_relation_residuals_by_phases(c)
+
+
+def test_modular_residuals_match_matmul_oracle():
+    """The FFT residuals agree with four dense matrix products to
+    1e-12 max(1, |oracle|), with the same MODULAR_TOL verdicts, for odd
+    n < 120 and every k in [0, n), non-units included, and for n in
+    {997, 1001}; each category as built and with one twist moved by 1/n,
+    1/(2n) or 1/7."""
+    cases = [(n, k) for n in range(1, 120, 2) for k in range(n)] + [(997, 5), (1001, 2)]
+    verdicts = set()
+    for n, k in cases:
+        table = [Phase.of(r, n) for r in range(n)]
+        twists = [table[k * j * j % n] for j in range(n)]
+        shift = (Phase.of(1, n), Phase.of(1, 2 * n), Phase.of(1, 7))[k % 3]
+        moved = twists[:]
+        moved[k % n] += shift
+        for c in (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved))):
+            got = modular_relation_residuals(c)
+            want = modular_relation_residuals_by_matmul(c)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, k, got, want)
+            verdict = max(want) <= MODULAR_TOL  # the test verify_modular_relations makes
+            assert (max(got) <= MODULAR_TOL) is verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_modular_residuals_peak_at_most_three_complex_arrays():
+    """At n = 1001 the residuals allocate at most three n x n complex
+    arrays at once."""
+    n = 1001
+    cat = build_cyclic(n, 2)
+    modular_relation_residuals(build_cyclic(3, 1))  # numpy.fft is imported outside the trace
+    tracemalloc.start()
+    try:
+        modular_relation_residuals(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * n * n
 
 
 # ------------------------------------------------------------------- JSON
