@@ -6,10 +6,10 @@ with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
 immutable and keeps its sparse rules, the fuse index, its axiom report and
 its FP dimensions.  Every check runs in exact Python integers over the
-sparse rules, with no dense tensor and no numpy: the axioms compare sparse
-keys and join rows of the fuse index (see verify_fusion_ring for the
-cost), and FP dimensions come from a float power iteration that is then
-certified exactly for weakly integral rings.
+sparse rules, with no dense tensor and no numpy: the axioms compare entries
+of the fuse index and sums of products packed into ints (see
+verify_fusion_ring for the cost), and FP dimensions come from a float
+power iteration that is then certified exactly for weakly integral rings.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
@@ -110,12 +112,20 @@ class FusionRing:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
         """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        if not isinstance(data, dict):
+            raise ValueError("ring data must be a JSON object")
+        for key in ("rank", "labels", "dual", "N"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
         labels, dual, rows = data["labels"], data["dual"], data["N"]
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValueError("labels must be a list of strings")
         if not isinstance(dual, list) or any(type(d) is not int for d in dual):
             raise ValueError("dual must be a list of integers")
-        if any(type(x) is not int for row in rows for x in row):
+        if not isinstance(rows, list) or any(
+            not isinstance(row, list) or len(row) != 4 or any(type(x) is not int for x in row)
+            for row in rows
+        ):
             raise ValueError("N rows must be integer [i, j, k, multiplicity]")
         coeffs = {(i, j, k): m for i, j, k, m in rows}
         if len(coeffs) != len(rows):
@@ -163,23 +173,27 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
     associativity over all index quadruples.  Computed once per ring, in
-    exact integers.  Unit, dual and commutativity cost O(nnz).
-    Associativity joins rows of the fuse index: checking row i costs
-    sum_j sum_(m in i (x) j) |row m| + sum_(j, k) sum_(m in j (x) k) |i (x) m|
-    multiply-adds plus rank^2 steps.  Only a generating set of rows is
-    checked, three for SO(N)_2; when the unit law fails, row 0 is not
-    known to pass and joins the set.  A failing generator row means
-    scanning rows in order for the first witness, and a ring whose
-    products never peel has every row as a generator: at most
-    join_cost(ring) steps in all.
+    exact integers.  Unit, dual and commutativity cost O(rank^2 + nnz).
+    Associativity packs each product x_m x_k into one int of rank digits
+    (_packed_products, O(nnz)) and compares sums of whole packed rows:
+    checking the middle factor y costs sum_i |i (x) y| + sum_k |y (x) k|
+    row sums of rank big-int additions, plus rank^2 comparisons.  Only a
+    generating set of middle factors is checked, three for SO(N)_2; when
+    the unit law fails, 0 is not known to pass and joins the set.  When a
+    generator fails, rows are scanned in order for the first witness, row
+    i costing sum_j |i (x) j| rank + sum_(j, k) |j (x) k| multiply-adds.
+    A ring whose products never peel has every index as a generator.
     """
     return ring._report
 
 
 def join_cost(ring: FusionRing) -> int:
-    """Steps of the associativity scan over every row: rank^3 plus the
-    multiply-adds, sum over m of #{(i, j) : m in i (x) j} times (|row m| +
-    |column m|).  O(nnz) from coeffs, without building the fuse index."""
+    """Budget steps of the associativity scan over every row: rank^3 plus
+    sum over m of #{(i, j) : m in i (x) j} times (|row m| + |column m|),
+    the multiply-adds of joining the rows as sparse dicts.  In a fusion
+    ring each m lies in at least rank products, so the packed scan, rank^3
+    + 2 rank nnz steps, stays within it.  O(nnz) from coeffs, without
+    building the fuse index."""
     targets, rows, middles = Counter(), Counter(), Counter()
     for i, j, k in ring.coeffs:
         targets[k] += 1
@@ -188,9 +202,9 @@ def join_cost(ring: FusionRing) -> int:
     return ring.rank**3 + sum(t * (rows[m] + middles[m]) for m, t in targets.items())
 
 
-def _mismatch(a: Mapping, b: Mapping) -> tuple | int | None:
-    """The smallest key (row-major for index tuples) at which two sparse
-    tensors differ, or None when they are equal."""
+def _mismatch(a: Mapping, b: Mapping) -> int | None:
+    """The smallest index at which two sparse vectors differ, or None when
+    they are equal."""
     if a == b:
         return None
     return min(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
@@ -199,49 +213,100 @@ def _mismatch(a: Mapping, b: Mapping) -> tuple | int | None:
 def _check_axioms(ring: FusionRing) -> FusionReport:
     """FusionRing._report.
 
-    Each stage compares N with a delta or with a permuted copy of itself,
-    so it can only fail on a key of either side: the first witness is the
-    smallest differing key, found without a dense tensor.
+    The unit law, the k = 0 part of the dual law and commutativity compare
+    entries of the fuse index with a delta or with one other entry, scanned
+    in row-major order, so the first mismatch is the witness.  The two
+    reciprocity laws compare N with a permuted copy of itself (_law_witness).
     """
-    r, coeffs, dual = ring.rank, ring.coeffs, ring.dual
+    r, rows, dual = ring.rank, ring._rows, ring.dual
     inverse = [0] * r
     for i, d in enumerate(dual):
         inverse[d] = i
 
-    def restrict(keep) -> dict:
-        return {key: m for key, m in coeffs.items() if keep(*key)}
-
-    def permuted(move) -> dict:  # Q with Q[move(key)] = N[key]
-        return {move(*key): m for key, m in coeffs.items()}
-
     # Stages run in order; the witness is the first mismatch of the first failing one.
-    w = _mismatch(
-        restrict(lambda i, j, k: i == 0), {(0, j, j): 1 for j in range(r)}
-    ) or _mismatch(restrict(lambda i, j, k: j == 0), {(i, 0, i): 1 for i in range(r)})
+    w = next(
+        ((0, j, _mismatch(c, {j: 1})) for j, c in enumerate(rows[0]) if c != {j: 1}), None
+    ) or next(
+        ((i, 0, _mismatch(row[0], {i: 1})) for i, row in enumerate(rows) if row[0] != {i: 1}),
+        None,
+    )
     checks = [AxiomCheck("unit", w is None, w)]
     unit_holds = w is None
 
+    # A pair (i, j) that differs from (j, i) is met first with i < j.
+    commutativity = next(
+        (
+            (i, j, _mismatch(row[j], rows[j][i]))
+            for i, row in enumerate(rows)
+            for j in range(i + 1, r)
+            if row[j] != rows[j][i]
+        ),
+        None,
+    )
+
     # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j and N_ij^k = N_{k j*}^i.
+    # When N_{i* k}^j = N_ij^k on every key of coeffs, the permutation maps
+    # the support into itself, hence onto it, and the first law holds.  The
+    # first law and commutativity give the second: N_ij^k = N_ji^k =
+    # N_{j* k}^i = N_{k j*}^i.
     w = (
-        _mismatch(restrict(lambda i, j, k: k == 0), {(i, dual[i], 0): 1 for i in range(r)})
-        or _mismatch(coeffs, permuted(lambda a, b, c: (inverse[a], c, b)))
-        or _mismatch(coeffs, permuted(lambda a, b, c: (c, inverse[b], a)))
+        next(
+            (
+                (i, j, 0)
+                for i, row in enumerate(rows)
+                for j, c in enumerate(row)
+                if c.get(0, 0) != (j == dual[i])
+            ),
+            None,
+        )
+        or (
+            None
+            if all(
+                rows[dual[i]][k].get(j) == m
+                for i, row in enumerate(rows)
+                for j, c in enumerate(row)
+                for k, m in c.items()
+            )
+            else _law_witness(
+                ring, lambda i, j, k: (dual[i], k, j), lambda a, b, c: (inverse[a], c, b)
+            )
+        )
+        or (
+            commutativity
+            and _law_witness(
+                ring, lambda i, j, k: (k, dual[j], i), lambda a, b, c: (c, inverse[b], a)
+            )
+        )
     )
     checks.append(AxiomCheck("dual", w is None, w))
+    checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
 
-    w = _mismatch(coeffs, permuted(lambda a, b, c: (b, a, c)))
-    checks.append(AxiomCheck("commutativity", w is None, w))
-
-    # The rows x with (x y) z = x (y z) for all y, z form a subspace closed
-    # under products, so checking a generating set of rows decides the
-    # axiom; the row-major first witness needs the rows in order.
+    # The y with (x y) z = x (y z) for all x, z form a subspace closed
+    # under products, so a generating set of middle factors decides the
+    # axiom; the row-major first witness needs the rows in order.  The
+    # packed table lives for this call only.
     gens = _generators(ring, {0} if unit_holds else set())
+    packed = _packed_products(ring)
     w = None
-    if any(_row_witness(ring, g) for g in gens):
-        w = next(filter(None, (_row_witness(ring, i) for i in range(r))))
+    if not all(_middle_holds(ring, g, packed) for g in gens):
+        w = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
     checks.append(AxiomCheck("associativity", w is None, w))
 
     return FusionReport(tuple(checks))
+
+
+def _law_witness(ring: FusionRing, move, unmove) -> tuple[int, int, int] | None:
+    """The smallest triple K, row-major, with N[K] != N[move(K)], or None;
+    move permutes the index triples and unmove is its inverse.  A mismatch
+    has N[K] or N[move(K)] nonzero, so K is a key of coeffs or the image of
+    one under unmove."""
+    rows = ring._rows
+
+    def n(i: int, j: int, k: int) -> int:
+        return rows[i][j].get(k, 0)
+
+    candidates = (key for s in ring.coeffs for key in (s, unmove(*s)))
+    return min((key for key in candidates if n(*key) != n(*move(*key))), default=None)
 
 
 def _generators(ring: FusionRing, known: set[int]) -> list[int]:
@@ -272,24 +337,75 @@ def _generators(ring: FusionRing, known: set[int]) -> list[int]:
     return gens
 
 
-def _row_witness(ring: FusionRing, i: int) -> tuple[int, int, int, int] | None:
-    """First (i, j, k, l), row-major, with sum_m N_ij^m N_mk^l != sum_m
-    N_jk^m N_im^l: the coefficient of l in (x_i x_j) x_k and x_i (x_j x_k)."""
+def _packed_products(ring: FusionRing) -> tuple[list[list[int]], int]:
+    """The fuse index with each product packed into one int, P[m][k] =
+    sum_l N_mk^l << (w l), and the digit width w.
+
+    Every coefficient of (x_i x_j) x_k or x_i (x_j x_k) is at most
+    max_ij sum_m N_ij^m times max N < 2^w.  Coefficients are non-negative,
+    so sums of packed ints carry nothing from one digit to the next, and two
+    such sums are equal exactly when the vectors they pack are.
+    """
     rows = ring._rows
-    row_i = rows[i]
-    for j, ij in enumerate(row_i):
-        left = [(rows[m], a) for m, a in ij.items()]
-        for k, jk in enumerate(rows[j]):
-            lhs: dict[int, int] = {}
-            for row_m, a in left:
-                for l, b in row_m[k].items():
-                    lhs[l] = lhs.get(l, 0) + a * b
-            rhs: dict[int, int] = {}
+    fanout = max(map(sum, map(dict.values, chain.from_iterable(rows))))
+    width = (fanout * max(ring.coeffs.values(), default=0)).bit_length()
+    table = [[0] * ring.rank for _ in range(ring.rank)]
+    for (m, k, l), a in ring.coeffs.items():
+        table[m][k] += a << (width * l)
+    return table, width
+
+
+def _combine(vectors, coefficients: dict[int, int], zero: list[int]):
+    """sum_m coefficients[m] vectors[m], entry by entry."""
+    terms = [
+        vectors[m] if a == 1 else [a * p for p in vectors[m]] for m, a in coefficients.items()
+    ]
+    if len(terms) == 1:
+        return terms[0]
+    if len(terms) == 2:  # the common case, without a tuple per entry
+        return list(map(add, *terms))
+    return list(map(sum, zip(zero, *terms)))
+
+
+def _middle_holds(ring: FusionRing, y: int, packed: tuple[list[list[int]], int]) -> bool:
+    """Whether (x_i x_y) x_k = x_i (x_y x_k) for all i and k.
+
+    packed is _packed_products(ring).  Row i of the left side, over k, is
+    sum_m N_iy^m P[m], and column k of the right side, over i, is sum_m
+    N_yk^m times column m of P: sums of whole rows, sum_i |i (x) y| +
+    sum_k |y (x) k| of them, each rank additions, and rank^2 comparisons.
+    The right side is held whole, the left one row at a time.
+    """
+    table, _ = packed
+    rows, zero = ring._rows, [0] * ring.rank
+    columns = list(zip(*table))
+    right = list(zip(*[_combine(columns, yk, zero) for yk in rows[y]]))  # right[i][k]
+    return all(
+        tuple(_combine(table, row[y], zero)) == right_i for row, right_i in zip(rows, right)
+    )
+
+
+def _row_witness(
+    ring: FusionRing, i: int, packed: tuple[list[list[int]], int]
+) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l), row-major, with sum_m N_ij^m N_mk^l != sum_m
+    N_jk^m N_im^l: the coefficient of l in (x_i x_j) x_k and x_i (x_j x_k).
+
+    packed is _packed_products(ring), so each side is one int per (j, k):
+    sum_m N_ij^m P[m][k], taken for all k at once, and sum_m N_jk^m P[i][m].
+    The lowest set bit of their XOR lies in the digit of the first
+    differing l.
+    """
+    table, width = packed
+    rows, p_i, zero = ring._rows, table[i], [0] * ring.rank
+    for j, ij in enumerate(rows[i]):
+        for k, (lhs, jk) in enumerate(zip(_combine(table, ij, zero), rows[j])):
+            rhs = 0
             for m, a in jk.items():
-                for l, b in row_i[m].items():
-                    rhs[l] = rhs.get(l, 0) + a * b
+                rhs += a * p_i[m]
             if lhs != rhs:
-                return (i, j, k, _mismatch(lhs, rhs))
+                low = lhs ^ rhs
+                return (i, j, k, ((low & -low).bit_length() - 1) // width)
     return None
 
 

@@ -24,6 +24,7 @@ from modcat.cyclic import (
     build_cyclic,
 )
 from modcat.fusion import FusionRing
+from modcat.metaplectic import CondensedData, GroupReconstructionError
 
 
 def is_prime_trial(n: int) -> bool:
@@ -230,6 +231,28 @@ def associativity_violations(ring: FusionRing) -> list[tuple[int, int, int, int]
     return bad
 
 
+def row_witness_by_dicts(ring: FusionRing, i: int) -> tuple[int, int, int, int] | None:
+    """First (i, j, k, l), row-major, with sum_m N_ij^m N_mk^l != sum_m
+    N_jk^m N_im^l, joining rows of the fuse index into one dict per side for
+    every (j, k)."""
+    row_i = [ring.fuse(i, j) for j in range(ring.rank)]
+    for j, ij in enumerate(row_i):
+        left = [(m, a) for m, a in ij.items()]
+        for k in range(ring.rank):
+            lhs: dict[int, int] = {}
+            for m, a in left:
+                for l, b in ring.fuse(m, k).items():
+                    lhs[l] = lhs.get(l, 0) + a * b
+            rhs: dict[int, int] = {}
+            for m, a in ring.fuse(j, k).items():
+                for l, b in row_i[m].items():
+                    rhs[l] = rhs.get(l, 0) + a * b
+            if lhs != rhs:
+                differ = [l for l in lhs.keys() | rhs.keys() if lhs.get(l) != rhs.get(l)]
+                return (i, j, k, min(differ))
+    return None
+
+
 def first_axiom_witnesses(ring: FusionRing) -> dict[str, tuple[int, int, int] | None]:
     """First failing (i, j, k) of the unit, dual and commutativity checks by
     a pure-Python scan, stage after stage, each stage in row-major order;
@@ -377,3 +400,71 @@ def grading_components_by_search(ring: FusionRing) -> list[int]:
                         queue.append(y)
         count += 1
     return component
+
+
+def group_law_by_full_scan(data: CondensedData) -> tuple[dict[str, int], tuple[int | None, ...]]:
+    """reconstruct_group's assignment and the group_elem of each D0 object,
+    with the lifted fusion rule checked on every ordered pair of split
+    sources; raises GroupReconstructionError with the same messages."""
+    ring, z, order = data.ring, data.z, len(data.d0)
+    unit_positions = [p for p, o in enumerate(data.d0) if 0 in o.sources]
+    if len(unit_positions) != 1 or data.d1 == ():
+        raise GroupReconstructionError(
+            "identity sector does not have the condensed-SO(N)_2 shape"
+        )
+    children: dict[int, list[int]] = {}
+    for pos, obj in enumerate(data.d0):
+        if obj.split is not None:
+            children.setdefault(obj.sources[0], []).append(pos)
+    for src, positions in children.items():
+        if len(positions) != 2:
+            raise GroupReconstructionError(
+                f"split source index {src} has {len(positions)} children, need 2"
+            )
+    if len(children) * 2 + 1 != order:
+        raise GroupReconstructionError(
+            "identity sector must be one merged unit plus split pairs"
+        )
+    sources = sorted(children)
+    step_of: dict[int, int] = {}
+    if sources:
+        first = cur = sources[0]
+        step_of[first] = 1
+        for step in range(2, len(sources) + 1):
+            comps = [c for c in ring.fuse(first, cur) if c in children and c not in step_of]
+            if len(comps) != 1:
+                raise GroupReconstructionError(
+                    f"cannot extend generator chain past step {step}: "
+                    f"witness pair ({ring.labels[first]}, {ring.labels[cur]})"
+                )
+            cur = comps[0]
+            step_of[cur] = step
+    residue = {unit_positions[0]: 0}
+    for src, (pos1, pos2) in children.items():
+        residue[pos1], residue[pos2] = step_of[src], order - step_of[src]
+
+    lifts = {src: [residue[p] for p in positions] for src, positions in children.items()}
+    lifts.update({0: [0], z: [0]})
+
+    def child_residues(source: int) -> list[int]:
+        if source not in lifts:
+            raise GroupReconstructionError(
+                f"component {ring.labels[source]} is not in the identity sector"
+            )
+        return lifts[source]
+
+    for a in sources:
+        for b in sources:
+            lifted = sorted((ra + rb) % order for ra in lifts[a] for rb in lifts[b])
+            condensed = sorted(
+                r
+                for target, mult in ring.fuse(a, b).items()
+                for r in child_residues(target) * mult
+            )
+            if lifted != condensed:
+                raise GroupReconstructionError(
+                    f"group law inconsistent: witness pair "
+                    f"({ring.labels[a]}, {ring.labels[b]})"
+                )
+    assignment = {obj.name: residue[pos] for pos, obj in enumerate(data.d0)}
+    return assignment, tuple(residue[pos] for pos in range(order))

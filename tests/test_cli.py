@@ -294,6 +294,29 @@ def test_ring_verify_rejects_loose_data(tmp_path, case):
     assert "cannot load fusion ring" in result.table
 
 
+SHORT_ROW = "N rows must be integer [i, j, k, multiplicity]"
+MALFORMED_RINGS = {
+    "top-level-array": ([TRIVIAL_RING], "ring data must be a JSON object"),
+    "top-level-number": (3, "ring data must be a JSON object"),
+    "no-N": ({k: v for k, v in TRIVIAL_RING.items() if k != "N"}, "missing key 'N'"),
+    "no-rank": ({k: v for k, v in TRIVIAL_RING.items() if k != "rank"}, "missing key 'rank'"),
+    "short-row": ({**TRIVIAL_RING, "N": [[0, 0, 0]]}, SHORT_ROW),
+    "long-row": ({**TRIVIAL_RING, "N": [[0, 0, 0, 1, 1]]}, SHORT_ROW),
+    "scalar-row": ({**TRIVIAL_RING, "N": [1]}, SHORT_ROW),
+    "scalar-N": ({**TRIVIAL_RING, "N": 1}, SHORT_ROW),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RINGS))
+def test_ring_verify_names_what_is_malformed(tmp_path, case):
+    data, message = MALFORMED_RINGS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    result = run(["ring", "verify", "--file", str(path), "--format", "json"])
+    assert result.status == 1
+    assert result.payload == {"error": f"cannot load fusion ring from {path}: {message}"}
+
+
 # ------------------------------------------------------------- size limits
 
 

@@ -12,6 +12,8 @@ from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
     _generators,
+    _middle_holds,
+    _packed_products,
     _row_witness,
     dihedral_fusion,
     fp_dimensions,
@@ -28,6 +30,7 @@ from tests.oracles import (
     dihedral_character_coeffs,
     first_axiom_witnesses,
     grading_components_by_search,
+    row_witness_by_dicts,
 )
 
 
@@ -113,16 +116,44 @@ def test_axiom_witnesses_match_row_major_oracles():
 
 def test_generator_rows_decide_associativity():
     # The rows that pass form a subspace closed under products, with or
-    # without a unit, so the generator rows decide what the full scan does.
+    # without a unit, and so do the middle factors that pass: the generators
+    # decide what the full scan does, as rows and as middle factors.
     outcomes = Counter()
     for ring in corrupted_rings(1200, seed=5):
         unit = verify_fusion_ring(ring).check("unit").passed
         generators = _generators(ring, {0} if unit else set())
-        by_generators = all(_row_witness(ring, g) is None for g in generators)
-        by_full_scan = all(_row_witness(ring, i) is None for i in range(ring.rank))
-        assert by_generators == by_full_scan
+        packed = _packed_products(ring)
+        by_generators = all(_row_witness(ring, g, packed) is None for g in generators)
+        by_middles = all(_middle_holds(ring, g, packed) for g in generators)
+        by_full_scan = all(_row_witness(ring, i, packed) is None for i in range(ring.rank))
+        assert by_generators == by_middles == by_full_scan
         outcomes[unit, by_full_scan] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
+
+
+def _wide_rings():
+    """The rank-2 rings of test_multiplicity_exactness_bound, whose products
+    need digits of 61 and 81 bits, and the rank-1 ring with no coefficients."""
+    big = 2**30
+    skewed = {(0, 0, 0): big + 2, (0, 0, 1): 1, (0, 1, 1): big + 3, (1, 0, 1): big + 3}
+    golden = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 2**40}
+    return [
+        FusionRing(2, ("a", "b"), (0, 1), {**skewed, (1, 1, 1): big + 1}),
+        FusionRing(2, ("1", "x"), (0, 1), golden),
+        FusionRing(1, ("1",), (0,), {}),
+    ]
+
+
+def test_packed_join_matches_dict_join():
+    failing = 0
+    for ring in [*corrupted_rings(1000, seed=13), *_wide_rings()]:
+        packed = _packed_products(ring)
+        for i in range(ring.rank):
+            witness = _row_witness(ring, i, packed)
+            assert witness == row_witness_by_dicts(ring, i)
+            failing += witness is not None
+    assert failing >= 500
+    assert _packed_products(_wide_rings()[1])[1] == 81  # (2^40 + 1) 2^40 < 2^81
 
 
 def test_generators_of_the_families():

@@ -27,7 +27,7 @@ from modcat.metaplectic import (
     reconstruct_group,
     so_n2_fusion,
 )
-from tests.oracles import so_n2_by_rules
+from tests.oracles import group_law_by_full_scan, so_n2_by_rules
 
 odd_N = st.integers(min_value=1, max_value=49).map(lambda i: 2 * i + 1)
 
@@ -281,6 +281,51 @@ def test_group_law_is_reconstructed_once():
     assert reconstruct_group(group.data) is group
     assert group.data == replace(data, d0=group.data.d0)
     assert is_tambara_yamagami(group.data).group_order == 15
+
+
+def _group_outcome(data: CondensedData):
+    """reconstruct_group's assignment and group elements, or its error."""
+    try:
+        group = reconstruct_group(data)
+    except GroupReconstructionError as exc:
+        return str(exc)
+    return group.assignment, tuple(obj.group_elem for obj in group.data.d0)
+
+
+def _oracle_outcome(data: CondensedData):
+    try:
+        return group_law_by_full_scan(data)
+    except GroupReconstructionError as exc:
+        return str(exc)
+
+
+def test_generator_row_matches_full_scan_on_so_n2():
+    for n in range(3, 200, 2):
+        data = condense_z2(so_n2_fusion(n), 1)
+        assert _group_outcome(data) == _oracle_outcome(data)
+
+
+def test_generator_row_matches_full_scan_on_hand_built_data():
+    base = condense_z2(so_n2_fusion(7), 1)
+    d0 = list(base.d0)
+    pos = [p for p, obj in enumerate(d0) if obj.sources == (5,)]  # the halves of Y2
+    d0[pos[0]], d0[pos[1]] = d0[pos[1]], d0[pos[0]]
+    swapped = replace(base, d0=tuple(d0))
+    # Y1 (x) Y2 = Y1 + Y3 with the Y3 pair left out: the generator row fails.
+    # (The ring passes, and Z fixes every source, so that row alone is read.)
+    short = replace(base, d0=tuple(o for o in base.d0 if o.sources != (6,)))
+    cases = [base, swapped, short]
+    cases += [replace(base, ring=base.ring.with_coefficient(*key, m)) for key, m in (
+        ((4, 4, 4), 1), ((4, 5, 6), 0), ((5, 5, 4), 2), ((6, 6, 6), 1), ((1, 4, 5), 1)
+    )]
+    cases += [replace(base, z=z) for z in range(base.ring.rank)]  # 2, 3, 4.. move sources
+    cases += [condense_z2(pointed_cyclic_ring(2), 1)]
+    outcomes = [_group_outcome(data) for data in cases]
+    assert outcomes == [_oracle_outcome(data) for data in cases]
+    assert outcomes[1] != outcomes[0] and isinstance(outcomes[1], tuple)
+    assert outcomes[2] == "component Y3 is not in the identity sector"
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert len(set(errors)) >= 4, errors
 
 
 # --------------------------------------------------------- Tambara-Yamagami
