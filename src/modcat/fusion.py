@@ -175,14 +175,14 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     associativity over all index quadruples.  Computed once per ring, in
     exact integers.  Unit, dual and commutativity cost O(rank^2 + nnz).
     Associativity packs each product x_m x_k into one int of rank digits
-    (_packed_products, O(nnz)) and compares sums of whole packed rows:
-    checking the middle factor y costs sum_i |i (x) y| + sum_k |y (x) k|
-    row sums of rank big-int additions, plus rank^2 comparisons.  Only a
-    generating set of middle factors is checked, three for SO(N)_2; when
-    the unit law fails, 0 is not known to pass and joins the set.  When a
-    generator fails, rows are scanned in order for the first witness, row
-    i costing sum_j |i (x) j| rank + sum_(j, k) |j (x) k| multiply-adds.
-    A ring whose products never peel has every index as a generator.
+    of w bits (_packed_products, O(nnz) sums; rank^2 ints of at most
+    rank w bits) and checks rows: row i costs sum_j |i (x) j| additions
+    of rank packed ints plus sum_(j, k) |j (x) k| multiply-adds, each on
+    ints of up to rank w bits.  Only a generating set of rows is checked,
+    three for SO(N)_2; when the unit law fails, 0 is not known to pass
+    and joins the set.  When a generator fails, rows are scanned in order
+    for the first witness.  A ring whose products never peel has every
+    index as a generator.  join_cost bounds the work of the full scan.
     """
     return ring._report
 
@@ -190,16 +190,20 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 def join_cost(ring: FusionRing) -> int:
     """Budget steps of the associativity scan over every row: rank^3 plus
     sum over m of #{(i, j) : m in i (x) j} times (|row m| + |column m|),
-    the multiply-adds of joining the rows as sparse dicts.  In a fusion
-    ring each m lies in at least rank products, so the packed scan, rank^3
-    + 2 rank nnz steps, stays within it.  O(nnz) from coeffs, without
-    building the fuse index."""
-    targets, rows, middles = Counter(), Counter(), Counter()
-    for i, j, k in ring.coeffs:
+    the terms joined, times 1 + w // 64 machine words per packed digit,
+    w the digit width of _packed_products.  Each term is an operation on
+    ints of at most rank digits, and the packed table holds at most
+    rank^3 w bits, about 8 join_cost bytes, so wide multiplicities cost in
+    proportion.  O(nnz) from coeffs, without building the fuse index."""
+    targets, rows, middles, fanout = Counter(), Counter(), Counter(), Counter()
+    for (i, j, k), m in ring.coeffs.items():
         targets[k] += 1
         rows[i] += 1
         middles[j] += 1
-    return ring.rank**3 + sum(t * (rows[m] + middles[m]) for m, t in targets.items())
+        fanout[i, j] += m
+    width = (max(fanout.values(), default=0) * max(ring.coeffs.values(), default=0)).bit_length()
+    terms = ring.rank**3 + sum(t * (rows[m] + middles[m]) for m, t in targets.items())
+    return terms * (1 + width // 64)
 
 
 def _mismatch(a: Mapping, b: Mapping) -> int | None:
@@ -281,14 +285,14 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     checks.append(AxiomCheck("dual", w is None, w))
     checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
 
-    # The y with (x y) z = x (y z) for all x, z form a subspace closed
-    # under products, so a generating set of middle factors decides the
-    # axiom; the row-major first witness needs the rows in order.  The
-    # packed table lives for this call only.
+    # The x with (x y) z = x (y z) for all y, z form a subspace closed
+    # under products, so the rows of a generating set decide the axiom;
+    # the row-major first witness needs the rows in order.  The packed
+    # table lives for this call only.
     gens = _generators(ring, {0} if unit_holds else set())
     packed = _packed_products(ring)
     w = None
-    if not all(_middle_holds(ring, g, packed) for g in gens):
+    if any(_row_witness(ring, g, packed) for g in gens):
         w = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
     checks.append(AxiomCheck("associativity", w is None, w))
 
@@ -365,24 +369,6 @@ def _combine(vectors, coefficients: dict[int, int], zero: list[int]):
     if len(terms) == 2:  # the common case, without a tuple per entry
         return list(map(add, *terms))
     return list(map(sum, zip(zero, *terms)))
-
-
-def _middle_holds(ring: FusionRing, y: int, packed: tuple[list[list[int]], int]) -> bool:
-    """Whether (x_i x_y) x_k = x_i (x_y x_k) for all i and k.
-
-    packed is _packed_products(ring).  Row i of the left side, over k, is
-    sum_m N_iy^m P[m], and column k of the right side, over i, is sum_m
-    N_yk^m times column m of P: sums of whole rows, sum_i |i (x) y| +
-    sum_k |y (x) k| of them, each rank additions, and rank^2 comparisons.
-    The right side is held whole, the left one row at a time.
-    """
-    table, _ = packed
-    rows, zero = ring._rows, [0] * ring.rank
-    columns = list(zip(*table))
-    right = list(zip(*[_combine(columns, yk, zero) for yk in rows[y]]))  # right[i][k]
-    return all(
-        tuple(_combine(table, row[y], zero)) == right_i for row, right_i in zip(rows, right)
-    )
 
 
 def _row_witness(

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import modcat
 from modcat.cli import MAX_FACTOR_N, MAX_JOIN, MAX_N, MAX_RANK, run
 from modcat.cyclic import are_equivalent
-from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring
+from modcat.fusion import FusionRing, dihedral_fusion, join_cost, pointed_cyclic_ring
 from modcat.metaplectic import so_n2_fusion
 
 
@@ -388,6 +388,21 @@ def test_dense_ring_file_is_refused_quickly(tmp_path):
     result = run(["ring", "verify", "--file", str(path)])
     assert time.perf_counter() - start < 1.0
     assert result.status == 1 and "MAX_JOIN" in result.table
+
+
+def test_wide_multiplicity_file_is_refused_quickly(tmp_path):
+    # One 4,000-digit multiplicity in the admitted pointed Z_149 ring makes
+    # every packed digit about 26,600 bits wide, gigabytes for the table, so
+    # the join cost scales with the digit width and the file is refused.
+    data = pointed_cyclic_ring(149).to_json_dict()
+    data["N"][1][3] = 10**3999  # N_01^1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    result = run(["ring", "verify", "--file", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.status == 1 and "MAX_JOIN" in result.table
+    assert join_cost(FusionRing.from_json_dict(data)) > 400 * 3 * 149**3
 
 
 # ------------------------------------------------------------ numpy import

@@ -12,7 +12,6 @@ from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
     _generators,
-    _middle_holds,
     _packed_products,
     _row_witness,
     dihedral_fusion,
@@ -116,17 +115,15 @@ def test_axiom_witnesses_match_row_major_oracles():
 
 def test_generator_rows_decide_associativity():
     # The rows that pass form a subspace closed under products, with or
-    # without a unit, and so do the middle factors that pass: the generators
-    # decide what the full scan does, as rows and as middle factors.
+    # without a unit, so the generator rows decide what the full scan does.
     outcomes = Counter()
     for ring in corrupted_rings(1200, seed=5):
         unit = verify_fusion_ring(ring).check("unit").passed
         generators = _generators(ring, {0} if unit else set())
         packed = _packed_products(ring)
         by_generators = all(_row_witness(ring, g, packed) is None for g in generators)
-        by_middles = all(_middle_holds(ring, g, packed) for g in generators)
         by_full_scan = all(_row_witness(ring, i, packed) is None for i in range(ring.rank))
-        assert by_generators == by_middles == by_full_scan
+        assert by_generators == by_full_scan
         outcomes[unit, by_full_scan] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 20, outcomes
 
