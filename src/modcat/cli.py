@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from . import cyclic, fusion, metaplectic
 
-MAX_RANK = 250  # so2 commands: SO(493)_2 verifies in about 1 s, condenses in about 2 s
-MAX_JOIN = 10**7  # ring verify: fusion.join_cost, the steps of a full associativity scan
+MAX_RANK = 250  # so2 and ring verify: so2 verify|condense 493 take 0.6-0.8 s as whole processes
+MAX_JOIN = 10**7  # ring verify: fusion.join_cost, the budget of a full associativity scan
 MAX_N = 10**6  # cyclic build, bosons, condense, double and decompose hold n twists
 MAX_FACTOR_N = 10**12  # trial division by odd p <= sqrt(n): about 0.3 s at the limit
 
@@ -235,6 +235,7 @@ def _cmd_ring_verify(args) -> CommandResult:
         ring = fusion.FusionRing.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
+    _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)  # join_cost builds rank^2 dicts
     _limit("join cost", fusion.join_cost(ring), "MAX_JOIN", MAX_JOIN)
     report = fusion.verify_fusion_ring(ring)
     payload = report.to_json_dict()

@@ -6,16 +6,15 @@ with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
 immutable and keeps its sparse rules, the fuse index, its axiom report and
 its FP dimensions.  Every check runs in exact Python integers over the
-sparse rules, with no dense tensor and no numpy: the axioms compare entries
-of the fuse index and sums of products packed into ints (see
-verify_fusion_ring for the cost), and FP dimensions come from a float
-power iteration that is then certified exactly for weakly integral rings.
+sparse rules, with no dense tensor and no numpy: each axiom compares ints
+of one table of products packed into ints (see verify_fusion_ring for the
+cost), and FP dimensions come from a float power iteration that is then
+certified exactly for weakly integral rings.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -173,144 +172,123 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
     associativity over all index quadruples.  Computed once per ring, in
-    exact integers.  Unit, dual and commutativity cost O(rank^2 + nnz).
-    Associativity packs each product x_m x_k into one int of rank digits
-    of w bits (_packed_products, O(nnz) sums; rank^2 ints of at most
-    rank w bits) and checks rows: row i costs sum_j |i (x) j| additions
-    of rank packed ints plus sum_(j, k) |j (x) k| multiply-adds, each on
-    ints of up to rank w bits.  Only a generating set of rows is checked,
-    three for SO(N)_2; when the unit law fails, 0 is not known to pass
-    and joins the set.  When a generator fails, rows are scanned in order
-    for the first witness.  A ring whose products never peel has every
-    index as a generator.  join_cost bounds the work of the full scan.
+    exact integers, on one table of rank^2 packed ints (_packed_products):
+    entry (i, j) holds N_ij^k in digit k of w bits, at most rank w bits, so
+    the table takes at most rank^3 w bits.  Unit and commutativity compare
+    entries with a power of two or with one other entry, the dual law
+    compares each row with its dual's row repacked over the other index,
+    O(rank^2 + nnz) int operations in all.  Associativity checks rows: row
+    i costs sum_j |i (x) j| additions of rank packed ints plus sum_(j, k)
+    |j (x) k| multiply-adds.  Only a generating set of rows is checked,
+    three for SO(N)_2; when the unit law fails, 0 is not known to pass and
+    joins the set.  When a generator fails, rows are scanned in order for
+    the first witness.  A ring whose products never peel has every index
+    as a generator.  The library takes any size; join_cost bounds the full
+    scan, and callers that take rings from outside should budget by it.
     """
     return ring._report
 
 
 def join_cost(ring: FusionRing) -> int:
-    """Budget steps of the associativity scan over every row: rank^3 plus
-    sum over m of #{(i, j) : m in i (x) j} times (|row m| + |column m|),
-    the terms joined, times 1 + w // 64 machine words per packed digit,
-    w the digit width of _packed_products.  Each term is an operation on
-    ints of at most rank digits, and the packed table holds at most
-    rank^3 w bits, about 8 join_cost bytes, so wide multiplicities cost in
-    proportion.  O(nnz) from coeffs, without building the fuse index."""
-    targets, rows, middles, fanout = Counter(), Counter(), Counter(), Counter()
-    for (i, j, k), m in ring.coeffs.items():
-        targets[k] += 1
-        rows[i] += 1
-        middles[j] += 1
-        fanout[i, j] += m
-    width = (max(fanout.values(), default=0) * max(ring.coeffs.values(), default=0)).bit_length()
-    terms = ring.rank**3 + sum(t * (rows[m] + middles[m]) for m, t in targets.items())
-    return terms * (1 + width // 64)
-
-
-def _mismatch(a: Mapping, b: Mapping) -> int | None:
-    """The smallest index at which two sparse vectors differ, or None when
-    they are equal."""
-    if a == b:
-        return None
-    return min(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+    """Budget of the associativity scan over every row: (rank^3 + 2 rank
+    nnz) (1 + w // 64), w the digit width of the packed table.  Over all
+    rows the scan adds rank packed ints per term of each i (x) j, multiplies
+    one per term of each j (x) k and compares rank^3 pairs; a packed int
+    spans at most rank digits, so wide multiplicities cost in proportion.
+    Builds the fuse index, rank^2 dicts, so bound the rank first."""
+    rank = ring.rank
+    return (rank**3 + 2 * rank * len(ring.coeffs)) * (1 + _digit_width(ring) // 64)
 
 
 def _check_axioms(ring: FusionRing) -> FusionReport:
     """FusionRing._report.
 
-    The unit law, the k = 0 part of the dual law and commutativity compare
-    entries of the fuse index with a delta or with one other entry, scanned
-    in row-major order, so the first mismatch is the witness.  The two
-    reciprocity laws compare N with a permuted copy of itself (_law_witness).
+    Every stage compares ints of the packed table with ints packed the same
+    way, entry by entry in row-major (i, j) order, so the first differing
+    entry and its lowest differing digit give the witness (i, j, k).
     """
     r, rows, dual = ring.rank, ring._rows, ring.dual
-    inverse = [0] * r
-    for i, d in enumerate(dual):
-        inverse[d] = i
+    table, w = packed = _packed_products(ring)
+
+    def first(entries) -> tuple[int, int, int] | None:
+        """(i, j, k) for the first (i, j, a, b) with a != b, k the lowest
+        digit in which a and b differ."""
+        return next(((i, j, _low_digit(a, b, w)) for i, j, a, b in entries if a != b), None)
+
+    def third_law() -> tuple[int, int, int] | None:
+        """The least (i, j, k) with N_ij^k != N_{k j*}^i, one repacked
+        column at a time: digit k of entry i of column b is N_kb^i."""
+        return min(
+            (
+                (i, j, _low_digit(table[i][j], q, w))
+                for j in range(r)
+                for i, q in enumerate(_repacked([row[dual[j]] for row in rows], w))
+                if table[i][j] != q
+            ),
+            default=None,
+        )
 
     # Stages run in order; the witness is the first mismatch of the first failing one.
-    w = next(
-        ((0, j, _mismatch(c, {j: 1})) for j, c in enumerate(rows[0]) if c != {j: 1}), None
-    ) or next(
-        ((i, 0, _mismatch(row[0], {i: 1})) for i, row in enumerate(rows) if row[0] != {i: 1}),
-        None,
+    unit = first(
+        chain(
+            ((0, j, p, 1 << w * j) for j, p in enumerate(table[0])),
+            ((i, 0, row[0], 1 << w * i) for i, row in enumerate(table)),
+        )
     )
-    checks = [AxiomCheck("unit", w is None, w)]
-    unit_holds = w is None
+    checks = [AxiomCheck("unit", unit is None, unit)]
 
     # A pair (i, j) that differs from (j, i) is met first with i < j.
-    commutativity = next(
-        (
-            (i, j, _mismatch(row[j], rows[j][i]))
-            for i, row in enumerate(rows)
-            for j in range(i + 1, r)
-            if row[j] != rows[j][i]
-        ),
-        None,
+    commutativity = first(
+        (i, j, row[j], table[j][i]) for i, row in enumerate(table) for j in range(i + 1, r)
     )
 
-    # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j and N_ij^k = N_{k j*}^i.
-    # When N_{i* k}^j = N_ij^k on every key of coeffs, the permutation maps
-    # the support into itself, hence onto it, and the first law holds.  The
-    # first law and commutativity give the second: N_ij^k = N_ji^k =
-    # N_{j* k}^i = N_{k j*}^i.
-    w = (
-        next(
-            (
-                (i, j, 0)
-                for i, row in enumerate(rows)
-                for j, c in enumerate(row)
-                if c.get(0, 0) != (j == dual[i])
-            ),
-            None,
+    # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j, one repacked
+    # row at a time, and N_ij^k = N_{k j*}^i.  The first law and
+    # commutativity give the second: N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i.
+    mask = (1 << w) - 1
+    witness = (
+        first(
+            (i, j, p & mask, int(j == dual[i]))
+            for i, row in enumerate(table)
+            for j, p in enumerate(row)
         )
-        or (
-            None
-            if all(
-                rows[dual[i]][k].get(j) == m
-                for i, row in enumerate(rows)
-                for j, c in enumerate(row)
-                for k, m in c.items()
-            )
-            else _law_witness(
-                ring, lambda i, j, k: (dual[i], k, j), lambda a, b, c: (inverse[a], c, b)
-            )
+        or first(
+            (i, j, p, q)
+            for i, row in enumerate(table)
+            for j, (p, q) in enumerate(zip(row, _repacked(rows[dual[i]], w)))
         )
-        or (
-            commutativity
-            and _law_witness(
-                ring, lambda i, j, k: (k, dual[j], i), lambda a, b, c: (c, inverse[b], a)
-            )
-        )
+        or (commutativity and third_law())
     )
-    checks.append(AxiomCheck("dual", w is None, w))
+    checks.append(AxiomCheck("dual", witness is None, witness))
     checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
 
     # The x with (x y) z = x (y z) for all y, z form a subspace closed
     # under products, so the rows of a generating set decide the axiom;
     # the row-major first witness needs the rows in order.  The packed
     # table lives for this call only.
-    gens = _generators(ring, {0} if unit_holds else set())
-    packed = _packed_products(ring)
-    w = None
+    gens = _generators(ring, {0} if unit is None else set())
+    witness = None
     if any(_row_witness(ring, g, packed) for g in gens):
-        w = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
-    checks.append(AxiomCheck("associativity", w is None, w))
+        witness = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
+    checks.append(AxiomCheck("associativity", witness is None, witness))
 
     return FusionReport(tuple(checks))
 
 
-def _law_witness(ring: FusionRing, move, unmove) -> tuple[int, int, int] | None:
-    """The smallest triple K, row-major, with N[K] != N[move(K)], or None;
-    move permutes the index triples and unmove is its inverse.  A mismatch
-    has N[K] or N[move(K)] nonzero, so K is a key of coeffs or the image of
-    one under unmove."""
-    rows = ring._rows
+def _low_digit(a: int, b: int, width: int) -> int:
+    """The lowest digit of width bits in which a and b differ."""
+    low = a ^ b
+    return ((low & -low).bit_length() - 1) // width
 
-    def n(i: int, j: int, k: int) -> int:
-        return rows[i][j].get(k, 0)
 
-    candidates = (key for s in ring.coeffs for key in (s, unmove(*s)))
-    return min((key for key in candidates if n(*key) != n(*move(*key))), default=None)
+def _repacked(entries: list[dict[int, int]], width: int) -> list[int]:
+    """Fuse-index entries packed over their position: digit k of entry l is
+    the multiplicity of l in entries[k]."""
+    packed = [0] * len(entries)
+    for k, c in enumerate(entries):
+        for l, m in c.items():
+            packed[l] += m << width * k
+    return packed
 
 
 def _generators(ring: FusionRing, known: set[int]) -> list[int]:
@@ -341,18 +319,25 @@ def _generators(ring: FusionRing, known: set[int]) -> list[int]:
     return gens
 
 
-def _packed_products(ring: FusionRing) -> tuple[list[list[int]], int]:
-    """The fuse index with each product packed into one int, P[m][k] =
-    sum_l N_mk^l << (w l), and the digit width w.
+def _digit_width(ring: FusionRing) -> int:
+    """The digit width w of the packed table, at least 1.
 
     Every coefficient of (x_i x_j) x_k or x_i (x_j x_k) is at most
-    max_ij sum_m N_ij^m times max N < 2^w.  Coefficients are non-negative,
-    so sums of packed ints carry nothing from one digit to the next, and two
-    such sums are equal exactly when the vectors they pack are.
+    max_ij sum_m N_ij^m times max N < 2^w, and so is every N.
     """
-    rows = ring._rows
-    fanout = max(map(sum, map(dict.values, chain.from_iterable(rows))))
-    width = (fanout * max(ring.coeffs.values(), default=0)).bit_length()
+    fanout = max(map(sum, map(dict.values, chain.from_iterable(ring._rows))))
+    return max(1, (fanout * max(ring.coeffs.values(), default=0)).bit_length())
+
+
+def _packed_products(ring: FusionRing) -> tuple[list[list[int]], int]:
+    """The fuse index with each product packed into one int, P[m][k] =
+    sum_l N_mk^l << (w l), and the digit width w (_digit_width).
+
+    Coefficients are non-negative, so sums of packed ints carry nothing
+    from one digit to the next, and two such sums are equal exactly when
+    the vectors they pack are.
+    """
+    width = _digit_width(ring)
     table = [[0] * ring.rank for _ in range(ring.rank)]
     for (m, k, l), a in ring.coeffs.items():
         table[m][k] += a << (width * l)
@@ -390,8 +375,7 @@ def _row_witness(
             for m, a in jk.items():
                 rhs += a * p_i[m]
             if lhs != rhs:
-                low = lhs ^ rhs
-                return (i, j, k, ((low & -low).bit_length() - 1) // width)
+                return (i, j, k, _low_digit(lhs, rhs, width))
     return None
 
 
@@ -509,11 +493,15 @@ class GradingResult:
 
 def _closure(ring: FusionRing, seeds: set[int]) -> set[int]:
     """Smallest fusion- and dual-closed set containing the unit and seeds."""
-    closed = {0} | set(seeds) | {ring.dual[s] for s in seeds}
-    frontier = list(closed)
+    # Coefficients are non-negative, so the support of w (x) s is the union
+    # of the supports of c (x) s over the components c of w: the closure
+    # holds every component of every product of seeds and their duals, and
+    # of nothing else.  A verified ring is commutative with N_ab^c =
+    # N_{b* a*}^{c*}, so the closure is dual-closed too.
+    steps = set(seeds) | {ring.dual[s] for s in seeds}
+    closed, frontier = {0}, [0]
     while frontier:
-        fresh = {c for a in closed for b in frontier for c in ring.fuse(a, b)} - closed
-        fresh |= {ring.dual[c] for c in fresh} - closed
+        fresh = {c for a in frontier for s in steps for c in ring.fuse(a, s)} - closed
         closed |= fresh
         frontier = list(fresh)
     return closed

@@ -374,6 +374,20 @@ def so_n2_by_rules(n: int) -> FusionRing:
     return FusionRing(rank=rank, labels=labels, dual=tuple(range(rank)), coeffs=coeffs)
 
 
+def closure_by_all_pairs(ring: FusionRing, seeds: set[int]) -> set[int]:
+    """Smallest fusion- and dual-closed set containing the unit and seeds,
+    grown by fusing every member with every new member and adding the
+    duals of what appears, until nothing new appears."""
+    closed = {0} | set(seeds) | {ring.dual[s] for s in seeds}
+    frontier = list(closed)
+    while frontier:
+        fresh = {c for a in closed for b in frontier for c in ring.fuse(a, b)} - closed
+        fresh |= {ring.dual[c] for c in fresh} - closed
+        closed |= fresh
+        frontier = list(fresh)
+    return closed
+
+
 def grading_components_by_search(ring: FusionRing) -> list[int]:
     """Component id of each simple under the universal grading, grown by a
     breadth-first search that fuses with every adjoint object until no new

@@ -372,22 +372,53 @@ def test_ring_verify_refuses_join_cost_above_limit(tmp_path):
     assert f"join cost = {3 * 150**3} is above the limit MAX_JOIN = {MAX_JOIN}" in result.table
 
 
-def test_dense_ring_file_is_refused_quickly(tmp_path):
-    # All-ones rules: no product peels, so a full scan would join 2 rank^5
-    # terms, about a minute of pure Python at rank 40.
-    rank = 40
-    data = {
+def _all_ones(rank: int) -> dict:
+    return {
         "rank": rank,
         "labels": [str(i) for i in range(rank)],
         "dual": list(range(rank)),
         "N": [[i, j, k, 1] for i in range(rank) for j in range(rank) for k in range(rank)],
     }
+
+
+def test_dense_ring_file_is_refused_quickly(tmp_path):
+    # All-ones rules: no product peels, so every row is scanned.  Rank 48
+    # costs 48^3 (1 + 2 * 48) = 10,727,424, just above MAX_JOIN; a packed
+    # full scan takes about 0.7 s at rank 40 and 1 s at rank 47.
     path = tmp_path / "ones.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_all_ones(48)))
     start = time.perf_counter()
     result = run(["ring", "verify", "--file", str(path)])
     assert time.perf_counter() - start < 1.0
     assert result.status == 1 and "MAX_JOIN" in result.table
+
+
+def test_ring_verify_admits_what_it_scans_quickly(tmp_path):
+    # The all-ones ring of rank 47 costs 9,863,185 and fails its axioms
+    # after a full scan; SO(243)_2, rank 125, is the largest admitted
+    # SO(N)_2 file.
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps(_all_ones(47)))
+    start = time.perf_counter()
+    assert run(["ring", "verify", "--file", str(path)]).status == 2
+    assert time.perf_counter() - start < 10.0
+    for n in (199, 243):
+        path = tmp_path / f"so{n}.json"
+        path.write_text(json.dumps(so_n2_fusion(n).to_json_dict()))
+        assert run(["ring", "verify", "--file", str(path)]).status == 0
+    assert join_cost(so_n2_fusion(245)) > MAX_JOIN
+
+
+def test_ring_verify_refuses_rank_before_building(tmp_path):
+    # The join cost reads the fuse index, rank^2 dicts, so rank comes first.
+    rank = 100_000
+    data = {"rank": rank, "labels": ["x"] * rank, "dual": list(range(rank)), "N": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    result = run(["ring", "verify", "--file", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert result.status == 1 and f"MAX_RANK = {MAX_RANK}" in result.table
 
 
 def test_wide_multiplicity_file_is_refused_quickly(tmp_path):

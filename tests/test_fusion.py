@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
+    _closure,
     _generators,
     _packed_products,
     _row_witness,
@@ -26,6 +27,7 @@ from modcat.fusion import (
 from modcat.metaplectic import condense_z2, so_n2_fusion
 from tests.oracles import (
     associativity_violations,
+    closure_by_all_pairs,
     dihedral_character_coeffs,
     first_axiom_witnesses,
     grading_components_by_search,
@@ -102,7 +104,7 @@ def corrupted_rings(count: int, seed: int):
 
 def test_axiom_witnesses_match_row_major_oracles():
     failures = Counter()
-    for ring in corrupted_rings(300, seed=10):
+    for ring in [*corrupted_rings(300, seed=10), *_wide_rings()]:
         expected = first_axiom_witnesses(ring)
         expected["associativity"] = min(associativity_violations(ring), default=None)
         report = verify_fusion_ring(ring)
@@ -372,6 +374,16 @@ def test_grading_so_n2_order_two_full_range():
         assert result.order == 2, n
         assert result.grades[2] == result.grades[3] == 1  # both X's non-trivial
         assert all(result.grades[i] == 0 for i in range(ring.rank) if i not in (2, 3))
+
+
+def test_closure_matches_all_pairs_oracle():
+    rings = [so_n2_fusion(n) for n in range(3, 60, 2)]
+    rings += [dihedral_fusion(n) for n in range(3, 60, 2)]
+    rings += [pointed_cyclic_ring(n) for n in range(1, 60)]
+    for ring in rings:
+        adjoint = {c for i in range(ring.rank) for c in ring.fuse(i, ring.dual[i])}
+        for seeds in [{g} for g in range(ring.rank)] + [adjoint]:
+            assert _closure(ring, seeds) == closure_by_all_pairs(ring, seeds)
 
 
 def test_subring_generated_by_y1_rank():
