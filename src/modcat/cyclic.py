@@ -18,7 +18,9 @@ import cmath
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, isqrt, lcm, sqrt
+from operator import mod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .numthy import factorize, jacobi, unit_square_orbits
@@ -209,11 +211,13 @@ def build_cyclic(n: int, k: int) -> CyclicCategory:
 
     Rejects even n (UnsupportedModulusError) and gcd(k, n) > 1
     (DegenerateFormError, the data would not be modular).  n = 1 gives
-    the trivial category.
+    the trivial category.  Labels 0..n//2 are computed and mirrored by the
+    particle-hole symmetry theta_j = theta_{n-j}, sharing their ints.
     """
     _require_odd(n)
     k = _require_unit(n, k)
-    return CyclicCategory._of_residues(n, k, tuple(k * j * j % n for j in range(n)))
+    half = [k * j * j % n for j in range(n // 2 + 1)]
+    return CyclicCategory._of_residues(n, k, tuple(half + half[n // 2 : 0 : -1]))
 
 
 def bilinear(cat: CyclicCategory, x: int, y: int) -> Phase:
@@ -226,10 +230,21 @@ def bilinear(cat: CyclicCategory, x: int, y: int) -> Phase:
 
 def smatrix(cat: CyclicCategory) -> list[list[Phase]]:
     """Unnormalized S-matrix as exact phases: entry (i, j) is the phase of
-    S_ij, namely -2 k i j / n (mod 1); the scalar 1/sqrt(n) is implied."""
+    S_ij, namely -2 k i j / n (mod 1); the scalar 1/sqrt(n) is implied.
+    Entries share the n phases r / n.  Row i <= n//2 reads them at the
+    multiples of -2 k i (mod n); rows n - i, 1 <= i <= (n - 1)//2, mirror
+    row i by the particle-hole symmetry S_{n-i,j} = S_{i,n-j}, which holds
+    for every n, even n and k = 0 included.
+    """
     n, k = cat.n, cat.k
     phases = [Phase.of(r, n) for r in range(n)]
-    return [[phases[-2 * k * i * j % n] for j in range(n)] for i in range(n)]
+    rows = []
+    for i in range(n // 2 + 1):
+        step = -2 * k * i % n
+        multiples = map(mod, range(0, step * n, step), repeat(n)) if step else repeat(0, n)
+        rows.append(list(map(phases.__getitem__, multiples)))
+    rows += ([row[0]] + row[:0:-1] for row in rows[(n - 1) // 2 : 0 : -1])
+    return rows
 
 
 def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
@@ -374,8 +389,16 @@ def braided_autos(n: int, k: int) -> list[int]:
 
 def find_bosons(cat: CyclicCategory) -> list[int]:
     """Labels with trivial twist.  All objects are invertible, so these are
-    exactly the condensable bosons; they form a subgroup of Z_n."""
-    return [j for j, r in enumerate(cat.residues) if r == 0]
+    exactly the condensable bosons; they form a subgroup of Z_n.  Uses no
+    symmetry, as a category read from JSON may carry any residues: the
+    zeros are counted, then found by `tuple.index`, so the scan runs in C.
+    """
+    residues = cat.residues
+    bosons, j = [], -1
+    for _ in range(residues.count(0)):
+        j = residues.index(0, j + 1)
+        bosons.append(j)
+    return bosons
 
 
 @dataclass(frozen=True)

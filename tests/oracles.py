@@ -110,10 +110,21 @@ def is_nondegenerate(cat: CyclicCategory) -> bool:
     return True
 
 
+def residues_by_labels(n: int, k: int) -> tuple[int, ...]:
+    """The twist residues k j^2 mod n, computed for every label j."""
+    return tuple(k * j * j % n for j in range(n))
+
+
+def bosons_by_scan(cat: CyclicCategory) -> list[int]:
+    """Labels whose stored residue is 0, by scanning every label."""
+    return [j for j, r in enumerate(cat.residues) if r == 0]
+
+
 def smatrix_by_entries(cat: CyclicCategory) -> list[list[Phase]]:
-    """The exact S-matrix with one Phase built per entry."""
+    """The exact S-matrix with one Phase built per entry, from the
+    numerator reduced modulo n (Phase's own reduction is the slow part)."""
     n, k = cat.n, cat.k
-    return [[Phase.of(-2 * k * i * j, n) for j in range(n)] for i in range(n)]
+    return [[Phase.of(-2 * k * i * j % n, n) for j in range(n)] for i in range(n)]
 
 
 def smatrix_complex_by_entries(cat: CyclicCategory) -> np.ndarray:

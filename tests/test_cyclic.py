@@ -43,6 +43,7 @@ from modcat.cyclic import (
 from modcat.numthy import distinct_primes
 from tests.oracles import (
     balancing_witness,
+    bosons_by_scan,
     braided_autos_by_search,
     condense_by_search,
     equivalent_by_unit_search,
@@ -51,6 +52,7 @@ from tests.oracles import (
     lagrangian_subgroup_by_search,
     modular_relation_residuals_by_matmul,
     modular_relation_residuals_by_phases,
+    residues_by_labels,
     smatrix_by_entries,
     smatrix_complex_by_entries,
     units,
@@ -144,6 +146,16 @@ def test_particle_hole_twist_symmetry(n, seed):
     for j in range(n):
         assert cat.twists[j] == cat.twists[(n - j) % n]
     assert cat.twists[0] == Phase.of(0)
+
+
+def test_residues_match_per_label_oracle():
+    """The mirrored half table equals k j^2 mod n taken per label: every odd
+    n < 300 with every unit k in [-3, n + 3), and n in {1, 99991, 1000003}
+    with k in {1, 2, n - 1}."""
+    cases = [(n, k) for n in range(1, 300, 2) for k in range(-3, n + 3) if gcd(k, n) == 1]
+    cases += [(n, k) for n in (1, 99991, 1000003) for k in (1, 2, n - 1)]
+    for n, k in cases:
+        assert build_cyclic(n, k).residues == residues_by_labels(n, k)
 
 
 # ---------------------------------------------------------------- bilinear
@@ -484,6 +496,16 @@ def test_find_bosons_examples():
     assert find_bosons(build_cyclic(25, 2)) == [0, 5, 10, 15, 20]
 
 
+def test_find_bosons_matches_scan_oracle():
+    """Built categories with square factors, and every twist variant of
+    n < 41: residues without the particle-hole symmetry, twists moved off
+    by one and twists over 2n."""
+    cats = [build_cyclic(n, k) for n in (99999, 99225, 3**9) for k in (1, 2, n - 1)]
+    cats += [v for n in range(1, 41) for k in range(n) for v in _twist_variants(n, k)]
+    for cat in cats:
+        assert find_bosons(cat) == bosons_by_scan(cat)
+
+
 @given(n=odd_n, seed=st.integers(0, 10**6))
 @settings(max_examples=80)
 def test_bosons_form_a_subgroup(n, seed):
@@ -614,6 +636,15 @@ def test_smatrix_matches_entrywise_oracle(n, data):
     k = data.draw(st.integers(min_value=0, max_value=n - 1))
     cat = _twists_with(n, k, {})
     assert smatrix(cat) == smatrix_by_entries(cat)
+
+
+def test_smatrix_matches_entrywise_oracle_at_mirror_bounds():
+    """Fixed cases around the (n - 1)//2 mirror bound: even and odd n, k = 0
+    included."""
+    for n in (*range(1, 7), 299, 300, 301):
+        for k in {0, 1, 2, n - 1}:
+            cat = _twists_with(n, k, {})
+            assert smatrix(cat) == smatrix_by_entries(cat), (n, k)
 
 
 # --------------------------------------------------------- modular relation

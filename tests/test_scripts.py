@@ -1,9 +1,13 @@
 """Smoke tests: the scripts in scripts/ run to completion."""
 
+import argparse
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +34,51 @@ def test_survey_runs():
     proc = run_script("survey_classification.py", "--max-n", "45")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split()[0] == "45"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_from_canned_lines():
+    """summarize() reads canned result lines; no benchmark runs."""
+    bench = load_script("bench_pairs")
+
+    def line(ops: float, rss: float, failed: int = 0) -> dict:
+        metrics = {"ops_per_s": {"value": ops, "unit": "1/s"},
+                   "peak_rss_mb": {"value": rss, "unit": "MB"}}
+        return {"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
+
+    runs = [(100, 120, 50, 50), (110, 105, 50, 49), (90, 130, 51, 50), (100, 100, 50, 50)]
+    pairs = [{"workload": "w", "seed": s, "first": "before", "before": line(b, rb),
+              "after": line(a, ra)} for s, (b, a, rb, ra) in enumerate(runs, 1)]
+    pairs.append({"workload": "v", "seed": 1, "first": "after",
+                  "before": line(5, 9), "after": line(4, 9, failed=2)})
+    end_to_end = [{"name": "ops_per_s", "better": "higher"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    summary = bench.summarize(pairs, end_to_end)
+
+    assert list(summary) == ["w", "v"]
+    w = summary["w"]
+    assert (w["pairs"], w["failed"], w["correct"]) == (4, {"before": 0, "after": 0}, True)
+    ops = w["ops_per_s"]
+    assert (ops["before_median"], ops["after_median"]) == (100, 112.5)
+    assert ops["before_quartiles"] == [bench.percentile([100, 110, 90, 100], q) for q in (25, 75)]
+    assert 90 < ops["before_quartiles"][0] < 100 < ops["before_quartiles"][1] < 110
+    assert ops["after_better_pairs"] == 2  # 120 > 100 and 130 > 90; 105 < 110; the tie counts for neither
+    assert w["peak_rss_mb"]["after_better_pairs"] == 2  # lower is better: 49 < 50, 50 < 51
+    v = summary["v"]
+    assert (v["failed"], v["correct"]) == ({"before": 0, "after": 2}, False)
+    assert v["ops_per_s"]["after_better_pairs"] == 0
+
+
+def test_bench_pairs_seed_range():
+    bench = load_script("bench_pairs")
+    assert bench.seed_range("3-12") == range(3, 13)
+    assert bench.seed_range("4-4") == range(4, 5)
+    for text in ("5-4", "4"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench.seed_range(text)
