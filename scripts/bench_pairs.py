@@ -14,7 +14,8 @@ each end-to-end metric each side's median and quartiles
 (perfbench/benchstats) and the number of pairs the change won, ties
 counting for neither side.  If FILE exists, its other keys and its pairs
 of other workloads or seeds are kept.  FILE is rewritten after every
-pair, so an interrupted session keeps the pairs it finished.
+pair, so an interrupted session keeps the pairs it finished, and each
+finished pair prints one line with every end-to-end metric, before -> after.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds A-B --out FILE
 """
@@ -82,6 +83,14 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def pair_line(pair: dict, end_to_end: list[dict]) -> str:
+    """One line for a finished pair: each end-to-end metric, before -> after."""
+    metrics = {side: pair[side]["metrics"] for side in SIDES}
+    parts = [f"{m['name']} {metrics['before'][m['name']]['value']:.4g} -> "
+             f"{metrics['after'][m['name']]['value']:.4g}" for m in end_to_end]
+    return f"{pair['workload']} seed {pair['seed']}: " + ", ".join(parts)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -105,9 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs.append(pair)
         record.update(summary=summarize(pairs, spec["end_to_end"]), pairs=pairs)
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        ops = {side: round(pair[side]["metrics"]["ops_per_s"]["value"], 1) for side in SIDES}
-        print(f"{args.workload} seed {seed}: ops_per_s {ops['before']} -> {ops['after']}",
-              flush=True)
+        print(pair_line(pair, spec["end_to_end"]), flush=True)
     return 0
 
 

@@ -5,11 +5,10 @@ automorphisms, bosons, subgroup condensation, and quantum-double detection.
 A category stores its twists as integer residues over one common
 denominator (n for built categories); `Phase` objects are made only where
 the API hands twists out.  All classification decisions run in exact
-integer arithmetic; complex floats appear only in the numeric S-matrix,
-the numeric modular-relation check and the Gauss sum, which is read off
-its closed form (the Jacobi symbol and sqrt(n)).  numpy is imported
-inside the two array functions (`smatrix_complex`,
-`modular_relation_residuals`), so the exact path never loads it.
+integer arithmetic; floats appear only in the numeric modular-relation
+check and the Gauss sum, which is read off its closed form (the Jacobi
+symbol and sqrt(n)).  numpy is imported inside the one array function,
+`modular_relation_residuals`, so the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -21,12 +20,9 @@ from functools import cached_property
 from itertools import repeat
 from math import gcd, isqrt, lcm, sqrt
 from operator import mod
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .numthy import factorize, jacobi, unit_square_orbits
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
 
@@ -245,16 +241,6 @@ def smatrix(cat: CyclicCategory) -> list[list[Phase]]:
         rows.append(list(map(phases.__getitem__, multiples)))
     rows += ([row[0]] + row[:0:-1] for row in rows[(n - 1) // 2 : 0 : -1])
     return rows
-
-
-def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
-    """Normalized numeric S-matrix (1/sqrt(n)) e^{-4 pi i k i j / n}."""
-    import numpy as np
-
-    n, k = cat.n, cat.k
-    idx = np.arange(n)
-    table = np.exp(2j * np.pi * idx / n)  # the n distinct phases
-    return table[(-2 * k % n) * np.outer(idx, idx) % n] / np.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -510,9 +496,11 @@ def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
     h[(i + l) % n], resp. g[(i + l) % n], with h = fft(theta)[p] / n and
     g = fft(1)[p] / n.  Row i of (S T)^3 = (S T S) T S T is S applied to
     (h[(i + m) % n] theta_m)_m, scaled by theta_l: one row-wise FFT of an
-    n x n array.  S^4 = (S^2)^2 is circulant with first row
-    c_d = sum_u g_u g_{(u + d) % n}, a correlation taken by FFT.  Time
-    O(n^2 log n); memory two n x n complex arrays at the peak.
+    n x n array, taken in blocks of about 2^13 entries (max(1, 2^13 // n)
+    rows), so only the running max is kept.  S^4 = (S^2)^2 is circulant
+    with first row c_d = sum_u g_u g_{(u + d) % n}, a correlation taken
+    by FFT.  Time O(n^2 log n); memory O(n) plus one block.  Even n is
+    refused (UnsupportedModulusError) before any block is taken.
     """
     d = cat.denominator  # int / int rounds correctly, as float(Fraction) does
     return _modular_residuals(cat.n, cat.k, [r / d for r in cat.residues])
@@ -526,16 +514,18 @@ def _modular_residuals(n: int, k: int, fracs: Sequence[float]) -> tuple[float, f
     def hankel(v: np.ndarray) -> np.ndarray:  # a view: entry (i, l) is v[(i + l) % n]
         return sliding_window_view(np.concatenate((v, v[:-1])), n)
 
+    anomaly = gauss_sum(n, k) / np.sqrt(n)  # refuses even n before any n x n work
     theta = np.exp(2j * np.pi * np.array(fracs))
     perm = (2 * k % n) * np.arange(n) % n  # S x = fft(x)[perm] / sqrt(n)
     h = np.fft.fft(theta)[perm] / n  # S T S = hankel(h)
     g = np.fft.fft(np.ones(n))[perm] / n  # S^2 = hankel(g)
-    rows = np.fft.fft(hankel(h) * theta, axis=1)
-    st3 = np.take(rows, perm, axis=1)
-    del rows  # at most two n x n arrays live
-    st3 *= theta / np.sqrt(n)
-    st3 -= hankel(gauss_sum(n, k) / np.sqrt(n) * g)
-    err1 = float(np.abs(st3).max())
+    sts, s2, scale = hankel(h), hankel(anomaly * g), theta / np.sqrt(n)
+    err1, step = 0.0, max(1, 2**13 // n)  # rows per block: about 2^13 entries
+    for a in range(0, n, step):
+        rows = np.take(np.fft.fft(sts[a : a + step] * theta, axis=1), perm, axis=1)
+        rows *= scale
+        rows -= s2[a : a + step]
+        err1 = max(err1, float(np.abs(rows).max()))
     f = np.fft.fft(g)
     s4 = np.fft.ifft(f * f[-np.arange(n) % n])  # first row of the circulant S^4
     s4[0] -= 1

@@ -396,10 +396,20 @@ def fp_dimensions(ring: FusionRing) -> list[float]:
 
 def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
     """FusionRing._fp: the FP dimensions and, for a weakly integral ring,
-    their exact squares (else None)."""
+    their exact squares (else None).
+
+    After each squaring the rounded squares a_i = round(d_i^2), d_0 = 1,
+    go to _certified_squares, and the first vector it certifies is
+    returned.  That is the FP vector however early it comes: the
+    certificate is exact, so d = sqrt(a) is a common eigenvector, L_i d =
+    d_i d; it is positive, as d_i d_i* = sum_k N_ii*^k d_k >= d_0 = 1; and
+    a positive common eigenvector belongs to the spectral radius of every
+    L_i.  So the 1e-12 step rule stops only rings that are not weakly
+    integral, whose float vector fp_identity_residual then checks.
+    """
     # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
     # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
-    r, terms = ring.rank, ring.coeffs.items()
+    r, terms, gens = ring.rank, ring.coeffs.items(), _generators(ring, {0})
     v = [1.0 / r] * r
     for _ in range(64):
         w = [0.0] * r
@@ -409,19 +419,22 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
         w = [x / total for x in w]
         step = max(abs(a - b) for a, b in zip(v, w))
         v = w
+        dims = [x / v[0] for x in v]
+        squares = _certified_squares(ring, [round(d * d) for d in dims], gens)
+        if squares is not None:
+            return tuple(math.sqrt(a) for a in squares), squares
         if step <= 1e-12 * max(w):
             break
-    dims = [x / v[0] for x in v]
-    squares = _certified_squares(ring, [round(d * d) for d in dims])
-    if squares is not None:
-        return tuple(math.sqrt(a) for a in squares), squares
     if fp_identity_residual(ring, dims) > 1e-9 * max(dims) ** 2:
         raise ArithmeticError("Frobenius-Perron power iteration did not converge")
     return tuple(dims), None
 
 
-def _certified_squares(ring: FusionRing, a: list[int]) -> tuple[int, ...] | None:
-    """a when d_i = sqrt(a_i) satisfies L_i d = d_i d exactly, else None.
+def _certified_squares(
+    ring: FusionRing, a: list[int], gens: list[int]
+) -> tuple[int, ...] | None:
+    """a when d_i = sqrt(a_i) satisfies L_i d = d_i d exactly, else None;
+    gens is _generators(ring, {0}).
 
     sqrt(a) and sqrt(b) are rationally dependent iff ab is a square, so
     the objects fall into classes with representatives s_c, and sqrt(a_k)
@@ -449,7 +462,7 @@ def _certified_squares(ring: FusionRing, a: list[int]) -> tuple[int, ...] | None
         cls.append(c)
         root.append(t)
     rows = ring._rows
-    for g in _generators(ring, {0}):
+    for g in gens:
         for j in range(ring.rank):
             sums: dict[int, int] = {}
             for k, m in rows[g][j].items():

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import cos, gcd, pi
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from modcat.cyclic import (
     CondensationError,
@@ -22,6 +23,7 @@ from modcat.cyclic import (
     Phase,
     _modular_residuals,
     build_cyclic,
+    gauss_sum,
 )
 from modcat.fusion import FusionRing
 from modcat.metaplectic import CondensedData, GroupReconstructionError
@@ -127,6 +129,15 @@ def smatrix_by_entries(cat: CyclicCategory) -> list[list[Phase]]:
     return [[Phase.of(-2 * k * i * j % n, n) for j in range(n)] for i in range(n)]
 
 
+def smatrix_complex(cat: CyclicCategory) -> np.ndarray:
+    """Normalized numeric S-matrix (1/sqrt(n)) e^{-4 pi i k i j / n}, read
+    off a table of the n distinct phases."""
+    n, k = cat.n, cat.k
+    idx = np.arange(n)
+    table = np.exp(2j * np.pi * idx / n)
+    return table[(-2 * k % n) * np.outer(idx, idx) % n] / np.sqrt(n)
+
+
 def smatrix_complex_by_entries(cat: CyclicCategory) -> np.ndarray:
     """The normalized numeric S-matrix with np.exp taken per entry."""
     n, k = cat.n, cat.k
@@ -141,20 +152,52 @@ def gauss_sum_by_sum(n: int, k: int) -> complex:
     return complex(np.exp(2j * np.pi * ((k * j * j) % n) / n).sum())
 
 
-def modular_relation_residuals_by_matmul(cat: CyclicCategory) -> tuple[float, float]:
+def modular_relation_residuals_by_matmul(
+    *cats: CyclicCategory,
+) -> list[tuple[float, float]]:
     """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I from
-    dense n x n matrix products, theta_j from the stored residue over its
-    denominator."""
-    n = cat.n
-    s = smatrix_complex_by_entries(cat)
-    d = cat.denominator
-    theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
-    st = s * theta[None, :]
+    dense n x n matrix products, for categories sharing n and k, theta_j
+    from the stored residue over its denominator.  S (smatrix_complex,
+    equal to smatrix_complex_by_entries bit for bit), S^2 and S^4 - I do
+    not depend on the twists, so they are formed once for all of cats."""
+    n, k = cats[0].n, cats[0].k
+    assert all((c.n, c.k) == (n, k) for c in cats)
+    s = smatrix_complex(cats[0])
     s2 = s @ s
-    anomaly = gauss_sum_by_sum(n, cat.k) / np.sqrt(n)
-    err1 = float(np.abs(st @ st @ st - anomaly * s2).max())
     err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
-    return err1, err2
+    anomaly_s2 = gauss_sum_by_sum(n, k) / np.sqrt(n) * s2
+    residuals = []
+    for cat in cats:
+        d = cat.denominator
+        theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
+        st = s * theta[None, :]
+        residuals.append((float(np.abs(st @ st @ st - anomaly_s2).max()), err2))
+    return residuals
+
+
+def modular_residuals_unblocked(cat: CyclicCategory) -> tuple[float, float]:
+    """modular_relation_residuals with every row of (S T)^3 - (G / sqrt(n))
+    S^2 held at once: one row-wise FFT of the whole n x n array, two such
+    arrays live at the peak."""
+    n, k, d = cat.n, cat.k, cat.denominator
+
+    def hankel(v: np.ndarray) -> np.ndarray:  # a view: entry (i, l) is v[(i + l) % n]
+        return sliding_window_view(np.concatenate((v, v[:-1])), n)
+
+    theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
+    perm = (2 * k % n) * np.arange(n) % n
+    h = np.fft.fft(theta)[perm] / n
+    g = np.fft.fft(np.ones(n))[perm] / n
+    rows = np.fft.fft(hankel(h) * theta, axis=1)
+    st3 = np.take(rows, perm, axis=1)
+    del rows
+    st3 *= theta / np.sqrt(n)
+    st3 -= hankel(gauss_sum(n, k) / np.sqrt(n) * g)
+    err1 = float(np.abs(st3).max())
+    f = np.fft.fft(g)
+    s4 = np.fft.ifft(f * f[-np.arange(n) % n])
+    s4[0] -= 1
+    return err1, float(np.abs(s4).max())
 
 
 def modular_relation_residuals_by_phases(cat: CyclicCategory) -> tuple[float, float]:

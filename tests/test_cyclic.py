@@ -36,7 +36,6 @@ from modcat.cyclic import (
     is_quantum_double,
     modular_relation_residuals,
     smatrix,
-    smatrix_complex,
     verify_balancing,
     verify_modular_relations,
 )
@@ -52,8 +51,10 @@ from tests.oracles import (
     lagrangian_subgroup_by_search,
     modular_relation_residuals_by_matmul,
     modular_relation_residuals_by_phases,
+    modular_residuals_unblocked,
     residues_by_labels,
     smatrix_by_entries,
+    smatrix_complex,
     smatrix_complex_by_entries,
     units,
 )
@@ -682,9 +683,9 @@ def test_modular_residuals_match_matmul_oracle():
         shift = (Phase.of(1, n), Phase.of(1, 2 * n), Phase.of(1, 7))[k % 3]
         moved = twists[:]
         moved[k % n] += shift
-        for c in (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved))):
+        cats = (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved)))
+        for c, want in zip(cats, modular_relation_residuals_by_matmul(*cats)):
             got = modular_relation_residuals(c)
-            want = modular_relation_residuals_by_matmul(c)
             for a, b in zip(got, want):
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, k, got, want)
             verdict = max(want) <= MODULAR_TOL  # the test verify_modular_relations makes
@@ -693,19 +694,49 @@ def test_modular_residuals_match_matmul_oracle():
     assert verdicts == {True, False}
 
 
-def test_modular_residuals_peak_at_most_three_complex_arrays():
-    """At n = 1001 the residuals allocate at most three n x n complex
-    arrays at once."""
-    n = 1001
-    cat = build_cyclic(n, 2)
-    modular_relation_residuals(build_cyclic(3, 1))  # numpy.fft is imported outside the trace
+def test_modular_residuals_blocks_match_whole_matrix_bit_for_bit():
+    """Taking (S T)^3 - (G / sqrt(n)) S^2 in row blocks changes no bit of
+    the residuals: for odd n < 200 with k in {0, 1, 2, n - 1}, and for n in
+    {997, 1001, 1025, 2047} (eight to four rows per block) with k = 2,
+    each category as built and with one twist moved by 1/(2n)."""
+    cases = [(n, k) for n in range(1, 200, 2) for k in {0, 1, 2 % n, n - 1}]
+    cases += [(n, 2) for n in (997, 1001, 1025, 2047)]
+    for n, k in cases:
+        for c in (_twists_with(n, k, {}), _twists_with(n, k, {k % n: Fraction(1, 2 * n)})):
+            assert modular_relation_residuals(c) == modular_residuals_unblocked(c), (n, k)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes tracemalloc sees while call() runs."""
     tracemalloc.start()
     try:
-        modular_relation_residuals(cat)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * n * n
+
+
+def test_modular_residuals_peak_under_2mb_at_n_1001_and_3001():
+    """The residuals take (S T)^3 in blocks of about 2^13 entries, so the
+    traced peak stays O(n): under 2 MB at n = 1001 and n = 3001, where one
+    n x n complex array is 16 MB and 144 MB."""
+    modular_relation_residuals(build_cyclic(3, 1))  # numpy.fft is imported outside the trace
+    for n in (1001, 3001):
+        cat = build_cyclic(n, 2)
+        assert _traced_peak(lambda: modular_relation_residuals(cat)) < 2 * 2**20, n
+
+
+def test_modular_residuals_refuse_even_n_before_any_block():
+    """An even-n category built directly is refused by the Gauss sum before
+    any n x n work: a traced peak under 1 MB at n = 3000."""
+    modular_relation_residuals(build_cyclic(3, 1))  # numpy.fft is imported outside the trace
+    cat = _twists_with(3000, 1, {})
+
+    def call():
+        with pytest.raises(UnsupportedModulusError):
+            modular_relation_residuals(cat)
+
+    assert _traced_peak(call) < 2**20
 
 
 # ------------------------------------------------------------------- JSON

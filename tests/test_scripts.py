@@ -75,6 +75,21 @@ def test_bench_pairs_summary_from_canned_lines():
     assert v["ops_per_s"]["after_better_pairs"] == 0
 
 
+def test_bench_pairs_prints_every_end_to_end_metric():
+    """pair_line() reads one canned pair; no benchmark runs."""
+    bench = load_script("bench_pairs")
+
+    def line(ops: float, rss: float) -> dict:
+        return {"metrics": {"ops_per_s": {"value": ops}, "peak_rss_mb": {"value": rss}}}
+
+    pair = {"workload": "w", "seed": 3, "first": "after",
+            "before": line(1138.04, 67.8712), "after": line(1215.5, 46.23)}
+    end_to_end = [{"name": "ops_per_s", "better": "higher"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    assert bench.pair_line(pair, end_to_end) == (
+        "w seed 3: ops_per_s 1138 -> 1216, peak_rss_mb 67.87 -> 46.23")
+
+
 def test_bench_pairs_seed_range():
     bench = load_script("bench_pairs")
     assert bench.seed_range("3-12") == range(3, 13)
