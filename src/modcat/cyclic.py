@@ -495,12 +495,11 @@ def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
     n, for any k.  So S T S and S^2 are Hankel: entry (i, l) is
     h[(i + l) % n], resp. g[(i + l) % n], with h = fft(theta)[p] / n and
     g = fft(1)[p] / n.  Row i of (S T)^3 = (S T S) T S T is S applied to
-    (h[(i + m) % n] theta_m)_m, scaled by theta_l: one row-wise FFT of an
-    n x n array, taken in blocks of about 2^13 entries (max(1, 2^13 // n)
-    rows), so only the running max is kept.  S^4 = (S^2)^2 is circulant
-    with first row c_d = sum_u g_u g_{(u + d) % n}, a correlation taken
-    by FFT.  Time O(n^2 log n); memory O(n) plus one block.  Even n is
-    refused (UnsupportedModulusError) before any block is taken.
+    (h[(i + m) % n] theta_m)_m, scaled by theta_l: a row-wise FFT, taken
+    in blocks of max(1, 2^13 // n) rows.  S^4 = (S^2)^2 is circulant with
+    first row c_d = sum_u g_u g_{(u + d) % n}, a correlation taken by FFT.
+    Time O(n^2 log n); memory O(n) plus one block of about 2^13 complex
+    entries.  Even n raises UnsupportedModulusError before any block.
     """
     d = cat.denominator  # int / int rounds correctly, as float(Fraction) does
     return _modular_residuals(cat.n, cat.k, [r / d for r in cat.residues])

@@ -398,14 +398,12 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
     """FusionRing._fp: the FP dimensions and, for a weakly integral ring,
     their exact squares (else None).
 
-    After each squaring the rounded squares a_i = round(d_i^2), d_0 = 1,
-    go to _certified_squares, and the first vector it certifies is
-    returned.  That is the FP vector however early it comes: the
-    certificate is exact, so d = sqrt(a) is a common eigenvector, L_i d =
-    d_i d; it is positive, as d_i d_i* = sum_k N_ii*^k d_k >= d_0 = 1; and
-    a positive common eigenvector belongs to the spectral radius of every
-    L_i.  So the 1e-12 step rule stops only rings that are not weakly
-    integral, whose float vector fp_identity_residual then checks.
+    Each squaring offers a_i = round(d_i^2) to _certified_squares.  A
+    certified d = sqrt(a) is the FP vector however early it comes: the
+    certificate is exact, so L_i d = d_i d; d_i d_i* >= N_ii*^0 d_0 = 1
+    makes d positive; and a positive common eigenvector belongs to the
+    spectral radius of every L_i.  The 1e-12 step rule stops the rest,
+    rings that are not weakly integral, and fp_identity_residual checks them.
     """
     # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
     # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
@@ -430,9 +428,7 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
     return tuple(dims), None
 
 
-def _certified_squares(
-    ring: FusionRing, a: list[int], gens: list[int]
-) -> tuple[int, ...] | None:
+def _certified_squares(ring: FusionRing, a: list[int], gens: list[int]) -> tuple[int, ...] | None:
     """a when d_i = sqrt(a_i) satisfies L_i d = d_i d exactly, else None;
     gens is _generators(ring, {0}).
 
