@@ -14,7 +14,7 @@ each end-to-end metric each side's median and quartiles
 (perfbench/benchstats) and the number of pairs the change won, ties
 counting for neither side.  If FILE exists, its other keys and its pairs
 of other workloads or seeds are kept.  FILE is rewritten after every
-pair, so an interrupted session keeps the pairs it finished, and each
+pair, so an interrupted run keeps the pairs it finished, and each
 finished pair prints one line with every end-to-end metric, before -> after.
 
 Usage: python3 scripts/bench_pairs.py PARENT CHANGE --workload W --seeds A-B --out FILE
