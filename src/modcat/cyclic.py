@@ -14,6 +14,7 @@ symbol and sqrt(n)).  numpy is imported inside the one array function,
 from __future__ import annotations
 
 import cmath
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ from typing import Iterable, Sequence
 from .numthy import factorize, jacobi, unit_square_orbits
 
 MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
+_TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a JSON twist "a" or "a/b", b > 0
 
 
 class UnsupportedModulusError(ValueError):
@@ -51,10 +53,11 @@ class NotIsotropicError(CondensationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Phase:
     """A root of unity e^{2 pi i a/b}, stored as the reduced fraction a/b
-    in [0, 1).  Addition and negation are exact modulo 1."""
+    in [0, 1).  Addition and negation are exact modulo 1.  Immutable, so
+    one object may stand for every label that carries its value."""
 
     frac: Fraction
 
@@ -96,10 +99,18 @@ class Phase:
     def __str__(self) -> str:
         return f"{self.frac.numerator}/{self.frac.denominator}"
 
+    def __reduce__(self):  # Python 3.10 cannot unpickle a frozen slotted dataclass
+        return Phase, (self.frac,)
 
-def phases(denominator: int, residues: Iterable[int]) -> tuple[Phase, ...]:
-    """The phases r / denominator (mod 1) of the given integer residues."""
-    return tuple(Phase.of(r, denominator) for r in residues)
+
+def phases(denominator: int, residues: Sequence[int]) -> tuple[Phase, ...]:
+    """The phases r / denominator (mod 1) of the given integer residues.
+    Labels with equal residues share one Phase: by theta_j = theta_{n-j} a
+    built C(n, k) holds at most (n + 1) / 2 distinct twists."""
+    shared = dict.fromkeys(residues)
+    for r in shared:
+        shared[r] = Phase.of(r, denominator)
+    return tuple(map(shared.__getitem__, residues))
 
 
 @dataclass(frozen=True, init=False)
@@ -159,11 +170,23 @@ class CyclicCategory:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CyclicCategory":
-        return cls(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            twists=tuple(Phase.parse(t) for t in data["twists"]),
-        )
+        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        if not isinstance(data, dict):
+            raise ValueError("category data must be a JSON object")
+        for key in ("n", "k", "twists"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        n, k, twists = data["n"], data["k"], data["twists"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if type(k) is not int:
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if not isinstance(twists, list):
+            raise ValueError('twists must be a list of "a" or "a/b" strings')
+        for t in twists:
+            if not isinstance(t, str) or not _TWIST_TEXT.fullmatch(t):
+                raise ValueError(f'twist {t!r} is not "a" or "a/b" with integers a and b > 0')
+        return cls(n=n, k=k, twists=tuple(map(Phase.parse, twists)))
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,22 @@ def test_phase_string_forms():
     assert Phase.parse("3") == Phase.of(0)
 
 
+def test_phase_pickle_and_deepcopy_roundtrip():
+    """Phase pickles through its own __reduce__ (a frozen slotted dataclass
+    cannot be unpickled on Python 3.10), and a twists tuple keeps its
+    shared objects shared."""
+    phase = Phase.of(4, 15)
+    assert phase.__reduce__() == (Phase, (Fraction(4, 15),))
+    assert not hasattr(phase, "__dict__")
+    twists = build_cyclic(45, 2).twists
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(phase, protocol)) == phase
+        loaded = pickle.loads(pickle.dumps(twists, protocol))
+        assert loaded == twists and len(set(map(id, loaded))) == len(set(map(id, twists)))
+    assert copy.deepcopy(phase) == phase and copy.deepcopy(twists) == twists
+    assert hash(copy.deepcopy(phase)) == hash(phase)
+
+
 @given(
     a=st.integers(min_value=-40, max_value=40),
     b=st.integers(min_value=1, max_value=40),
@@ -750,10 +766,14 @@ def test_category_json_roundtrip():
 
 
 def _assert_boundary_forms(cat: CyclicCategory, twists: tuple[Phase, ...]) -> None:
-    """cat holds exactly `twists`, and each boundary form gives it back."""
+    """cat holds exactly `twists`, one shared Phase per distinct residue,
+    and each boundary form gives it back."""
     assert cat.twists == twists
+    assert twists == tuple(Phase.of(r, cat.denominator) for r in cat.residues)
+    assert len(set(map(id, cat.twists))) == len(set(cat.residues))
     assert cat.to_json_dict()["twists"] == [str(t) for t in twists]
-    assert CyclicCategory.from_json_dict(cat.to_json_dict()) == cat
+    loaded = CyclicCategory.from_json_dict(cat.to_json_dict())
+    assert loaded == cat and loaded.twists == twists
     assert replace(cat, twists=twists) == cat
     for copied in (pickle.loads(pickle.dumps(cat)), copy.deepcopy(cat)):
         assert copied == cat and hash(copied) == hash(cat)
@@ -779,6 +799,64 @@ def test_residue_form_matches_phase_twists():
             assert foreign.denominator == math.lcm(*(t.frac.denominator for t in moved))
             _assert_boundary_forms(foreign, tuple(moved))
     assert pickle.loads(pickle.dumps(cat)).twists == cat.twists  # rebuilt on use
+
+
+def test_twists_share_one_phase_per_distinct_residue():
+    """A built category hands out one Phase per distinct residue: (n + 1) / 2
+    for prime n, far fewer for n with square factors."""
+    for n, distinct in ((99991, 49996), (99225, 7502), (45, 12), (1, 1)):
+        cat = build_cyclic(n, 2)
+        assert len(set(cat.residues)) == distinct
+        assert len(set(map(id, cat.twists))) == distinct
+        assert cat.twists[1 % n] is cat.twists[-1]  # theta_1 = theta_{n-1}
+
+
+def test_twists_traced_peak_under_14mb_at_n_99991():
+    """Shared slotted Phases keep the twists of C(99991, 2) under 14 MB
+    traced; one fresh dict-backed Phase per label took about 19 MB."""
+    cat = build_cyclic(99991, 2)
+    assert _traced_peak(lambda: cat.twists) < 14 * 10**6
+
+
+_GOOD_CATEGORY = {"n": 3, "k": 1, "twists": ["0/1", "1/3", "1/3"]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n": 3.9}, "n must be a positive integer"),
+        ({"n": "3"}, "n must be a positive integer"),
+        ({"n": True}, "n must be a positive integer"),
+        ({"n": 0, "twists": []}, "n must be a positive integer"),
+        ({"k": True}, "k must be an integer"),
+        ({"k": "1"}, "k must be an integer"),
+        ({"k": 1.0}, "k must be an integer"),
+        ({"twists": "0/1 1/3 1/3"}, "twists must be a list"),
+        ({"twists": ["0/1", "1/0", "1/3"]}, "twist '1/0' is not"),
+        ({"twists": ["0/1", "1/00", "1/3"]}, "twist '1/00' is not"),
+        ({"twists": ["0/1", "1/-3", "1/3"]}, "twist '1/-3' is not"),
+        ({"twists": ["0/1", " 1/3", "1/3"]}, "twist ' 1/3' is not"),
+        ({"twists": ["0/1", "1/3/1", "1/3"]}, "twist '1/3/1' is not"),
+        ({"twists": ["0/1", 0.5, "1/3"]}, "twist 0.5 is not"),
+    ],
+)
+def test_category_json_refuses_malformed_fields(change, message):
+    with pytest.raises(ValueError, match=message):
+        CyclicCategory.from_json_dict({**_GOOD_CATEGORY, **change})
+
+
+def test_category_json_refuses_non_object_and_missing_keys():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        CyclicCategory.from_json_dict([3, 1, []])
+    for key in _GOOD_CATEGORY:
+        data = {k: v for k, v in _GOOD_CATEGORY.items() if k != key}
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            CyclicCategory.from_json_dict(data)
+
+
+def test_category_json_accepts_integer_and_negative_twists():
+    cat = CyclicCategory.from_json_dict({"n": 3, "k": 1, "twists": ["0", "-2/3", "4/03"]})
+    assert cat == build_cyclic(3, 1)
 
 
 def test_category_rejects_wrong_twist_count():
