@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .numthy import factorize, jacobi, unit_square_orbits
 
 MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
-_TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a JSON twist "a" or "a/b", b > 0
+_TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a twist text "a" or "a/b", b > 0
 
 
 class UnsupportedModulusError(ValueError):
@@ -72,6 +72,10 @@ class Phase:
 
     @classmethod
     def parse(cls, text: str) -> "Phase":
+        """The phase of a twist written "a" or "a/b", integers a and b > 0 in
+        ASCII digits; any other text raises ValueError naming it."""
+        if not isinstance(text, str) or not _TWIST_TEXT.fullmatch(text):
+            raise ValueError(f'twist {text!r} is not "a" or "a/b" with integers a and b > 0')
         num, _, den = text.partition("/")
         return cls.of(int(num), int(den) if den else 1)
 
@@ -183,9 +187,6 @@ class CyclicCategory:
             raise ValueError(f"k must be an integer, got {k!r}")
         if not isinstance(twists, list):
             raise ValueError('twists must be a list of "a" or "a/b" strings')
-        for t in twists:
-            if not isinstance(t, str) or not _TWIST_TEXT.fullmatch(t):
-                raise ValueError(f'twist {t!r} is not "a" or "a/b" with integers a and b > 0')
         return cls(n=n, k=k, twists=tuple(map(Phase.parse, twists)))
 
 

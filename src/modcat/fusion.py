@@ -4,12 +4,13 @@ Frobenius-Perron dimensions, universal grading, and subring extraction.
 A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
-immutable and keeps its sparse rules, the fuse index, its axiom report and
-its FP dimensions.  Every check runs in exact Python integers over the
-sparse rules, with no dense tensor and no numpy: each axiom compares ints
-of one table of products packed into ints (see verify_fusion_ring for the
-cost), and FP dimensions come from a float power iteration that is then
-certified exactly for weakly integral rings.
+immutable and keeps its sparse rules, the fuse index, its axiom report,
+its FP dimensions and its universal grading, each computed once.  Every
+check runs in exact Python integers over the sparse rules, with no dense
+tensor and no numpy: each axiom compares ints of one table of products
+packed into ints (see verify_fusion_ring for the cost), and FP dimensions
+come from a float power iteration that is then certified exactly for
+weakly integral rings.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ class FusionRing:
     """Sparse fusion-ring data, immutable.
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
+    The constructor validates the structure (rank, lengths, a dual
+    permutation, indices in range, positive multiplicities); the library's
+    own builders, whose rules satisfy it by construction, use _of_rules.
+    The fuse index, axiom report, FP dimensions and universal grading are
+    computed on first use and kept.
     """
 
     rank: int
@@ -56,6 +62,18 @@ class FusionRing:
                 raise ValueError(f"coefficient index out of range: {(i, j, k)}")
             if m <= 0:
                 raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
+
+    @classmethod
+    def _of_rules(
+        cls, rank: int, labels: tuple[str, ...], dual: tuple[int, ...], coeffs: Coeffs
+    ) -> "FusionRing":
+        """The ring of rules that meet the constructor's checks by
+        construction; the ring keeps coeffs, so the caller must not change it."""
+        ring = object.__new__(cls)
+        ring.__dict__.update(
+            rank=rank, labels=labels, dual=dual, coeffs=MappingProxyType(coeffs)
+        )
+        return ring
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.coeffs.get((i, j, k), 0)
@@ -81,6 +99,10 @@ class FusionRing:
     @cached_property
     def _fp(self) -> tuple[tuple[float, ...], tuple[int, ...] | None]:
         return _frobenius_perron(self)
+
+    @cached_property
+    def _grading(self) -> "GradingResult":
+        return _universal_grading(self)  # a failure raises and is not cached
 
     def __reduce__(self):  # a mappingproxy cannot be pickled; rebuild from a dict
         return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs))
@@ -175,16 +197,19 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     exact integers, on one table of rank^2 packed ints (_packed_products):
     entry (i, j) holds N_ij^k in digit k of w bits, at most rank w bits, so
     the table takes at most rank^3 w bits.  Unit and commutativity compare
-    entries with a power of two or with one other entry, the dual law
-    compares each row with its dual's row repacked over the other index,
-    O(rank^2 + nnz) int operations in all.  Associativity checks rows: row
-    i costs sum_j |i (x) j| additions of rank packed ints plus sum_(j, k)
-    |j (x) k| multiply-adds.  Only a generating set of rows is checked,
-    three for SO(N)_2; when the unit law fails, 0 is not known to pass and
-    joins the set.  When a generator fails, rows are scanned in order for
-    the first witness.  A ring whose products never peel has every index
-    as a generator.  The library takes any size; join_cost bounds the full
-    scan, and callers that take rings from outside should budget by it.
+    entries with a power of two or with one other entry, O(rank^2) int
+    operations.  When both pass, the dual law is one comparison of the
+    coefficient map with itself reindexed, N_ij^k against N_{i* k}^j,
+    O(nnz); otherwise, or when that fails, each row is compared with its
+    dual's row repacked over the other index, O(rank^2 + nnz), for the
+    first witness.  Associativity checks rows: row i costs sum_j |i (x) j|
+    additions of rank packed ints plus sum_(j, k) |j (x) k| multiply-adds.
+    Only a generating set of rows is checked, three for SO(N)_2; when the
+    unit law fails, 0 is not known to pass and joins the set.  When a
+    generator fails, rows are scanned in order for the first witness.  A
+    ring whose products never peel has every index as a generator.  The
+    library takes any size; join_cost bounds the full scan, and callers
+    that take rings from outside should budget by it.
     """
     return ring._report
 
@@ -243,22 +268,33 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     )
 
     # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j, one repacked
-    # row at a time, and N_ij^k = N_{k j*}^i.  The first law and
-    # commutativity give the second: N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i.
+    # row at a time, and N_ij^k = N_{k j*}^i.  The second law and
+    # commutativity give the third: N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i,
+    # and the second and the unit law give the first: N_ij^0 = N_{i* 0}^j.
+    # So with unit and commutativity passing one comparison decides; the
+    # stages run only for a failing ring, to find its row-major witness.
     mask = (1 << w) - 1
-    witness = (
-        first(
-            (i, j, p & mask, int(j == dual[i]))
-            for i, row in enumerate(table)
-            for j, p in enumerate(row)
+    coeffs = ring.coeffs
+    if (
+        unit is None
+        and commutativity is None
+        and coeffs == {(dual[i], k, j): m for (i, j, k), m in coeffs.items()}
+    ):
+        witness = None
+    else:
+        witness = (
+            first(
+                (i, j, p & mask, int(j == dual[i]))
+                for i, row in enumerate(table)
+                for j, p in enumerate(row)
+            )
+            or first(
+                (i, j, p, q)
+                for i, row in enumerate(table)
+                for j, (p, q) in enumerate(zip(row, _repacked(rows[dual[i]], w)))
+            )
+            or (commutativity and third_law())
         )
-        or first(
-            (i, j, p, q)
-            for i, row in enumerate(table)
-            for j, (p, q) in enumerate(zip(row, _repacked(rows[dual[i]], w)))
-        )
-        or (commutativity and third_law())
-    )
     checks.append(AxiomCheck("dual", witness is None, witness))
     checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
 
@@ -521,9 +557,15 @@ def universal_grading(ring: FusionRing) -> GradingResult:
 
     Fusion descends to the cosets and makes them an abelian group: the
     finest group grading of the ring.  Reported as cyclic (with residue
-    grades) whenever it is.
+    grades) whenever it is.  Computed once per ring; later calls return
+    the same result.
     """
     ring.require_verified()
+    return ring._grading
+
+
+def _universal_grading(ring: FusionRing) -> GradingResult:
+    """FusionRing._grading, for a verified ring."""
     seeds = {c for i in range(ring.rank) for c in ring.fuse(i, ring.dual[i])}
     adjoint = _closure(ring, seeds)  # the components of every i (x) i*
 
@@ -569,40 +611,46 @@ def subring_generated(ring: FusionRing, generators: set[int]) -> FusionRing:
     """Smallest fusion- and dual-closed subring containing the generators.
 
     Simples keep their relative order and labels; coefficients are the
-    restriction of the parent's.
+    restriction of the parent's.  A closure of every index is the ring
+    itself.
     """
     ring.require_verified()
-    if not generators or not all(0 <= g < ring.rank for g in generators):
-        raise ValueError(
-            f"need one or more object indices 0 <= g < {ring.rank}, "
-            f"got {sorted(generators)}"
+    if not generators or not all(type(g) is int and 0 <= g < ring.rank for g in generators):
+        # Indices in order, then anything else by repr, so any set can be shown.
+        shown = sorted(
+            generators, key=lambda g: (type(g) is not int, g if type(g) is int else repr(g))
         )
-    closed = _closure(ring, generators)
-    kept = sorted(closed)
+        raise ValueError(f"need one or more object indices 0 <= g < {ring.rank}, got {shown}")
+    kept = sorted(_closure(ring, generators))
+    if len(kept) == ring.rank:
+        return ring
+    # The closure is fusion-closed, so the rows of kept pairs stay inside it.
     index = {old: new for new, old in enumerate(kept)}
+    rows = ring._rows
     coeffs = {
-        (index[i], index[j], index[k]): m
-        for (i, j, k), m in ring.coeffs.items()
-        if i in closed and j in closed and k in closed
+        (a, b, index[k]): m
+        for a, i in enumerate(kept)
+        for b, j in enumerate(kept)
+        for k, m in rows[i][j].items()
     }
-    return FusionRing(
-        rank=len(kept),
-        labels=tuple(ring.labels[i] for i in kept),
-        dual=tuple(index[ring.dual[i]] for i in kept),
-        coeffs=coeffs,
+    return FusionRing._of_rules(
+        len(kept),
+        tuple(ring.labels[i] for i in kept),
+        tuple(index[ring.dual[i]] for i in kept),
+        coeffs,
     )
 
 
 def pointed_cyclic_ring(n: int) -> FusionRing:
     """Group ring of Z_n: n invertible simples, [i] (x) [j] = [i+j]."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"need n >= 1, got {n!r}")
     coeffs = {(i, j, (i + j) % n): 1 for i in range(n) for j in range(n)}
-    return FusionRing(
-        rank=n,
-        labels=tuple(f"[{i}]" for i in range(n)),
-        dual=tuple((n - i) % n for i in range(n)),
-        coeffs=coeffs,
+    return FusionRing._of_rules(
+        n,
+        tuple(f"[{i}]" for i in range(n)),
+        tuple((n - i) % n for i in range(n)),
+        coeffs,
     )
 
 
@@ -635,4 +683,4 @@ def dihedral_fusion(n: int) -> FusionRing:
         raise ValueError(f"need odd n >= 3, got {n}")
     rank = 2 + (n - 1) // 2
     labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, rank - 1))
-    return FusionRing(rank, labels, tuple(range(rank)), _dihedral_rules(n, 2))
+    return FusionRing._of_rules(rank, labels, tuple(range(rank)), _dihedral_rules(n, 2))

@@ -34,7 +34,8 @@ def so_n2_fusion(n: int) -> FusionRing:
     two X's and fixes every Y; the X's square to 1 plus all Y's and mix
     to Z plus all Y's; Y_i (x) Y_j = Y_min(i+j, N-i-j) + Y_|i-j| with
     Y_i^2 = 1 + Z + Y_min(2i, N-2i).  The last 8 rings are cached; their
-    callers share one immutable ring, so it is verified once while cached.
+    callers share one immutable ring, so it is verified and graded once
+    while cached.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
@@ -48,7 +49,7 @@ def so_n2_fusion(n: int) -> FusionRing:
             coeffs[x, y, x] = coeffs[x, y, other] = 1
             coeffs[y, x, x] = coeffs[y, x, other] = 1
     labels = ("1", "Z", "X1", "X2") + tuple(f"Y{i}" for i in range(1, rank - 3))
-    return FusionRing(rank, labels, tuple(range(rank)), coeffs)
+    return FusionRing._of_rules(rank, labels, tuple(range(rank)), coeffs)
 
 
 @dataclass(frozen=True)
@@ -325,7 +326,7 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
                 )
 
     filled = tuple(
-        replace(obj, group_elem=residue_of_pos[pos])
+        CondensedObject(obj.sources, obj.source_labels, obj.split, obj.dim, residue_of_pos[pos])
         for pos, obj in enumerate(data.d0)
     )
     new_data = replace(data, d0=filled)

@@ -442,6 +442,21 @@ def closure_by_all_pairs(ring: FusionRing, seeds: set[int]) -> set[int]:
     return closed
 
 
+def subring_by_filter(ring: FusionRing, generators: set[int]) -> FusionRing:
+    """The subring on closure_by_all_pairs(ring, generators), built through
+    the validating constructor: every parent coefficient whose three
+    indices lie in the closure, renumbered in the parents' order."""
+    kept = sorted(closure_by_all_pairs(ring, generators))
+    index = {old: new for new, old in enumerate(kept)}
+    coeffs = {
+        (index[i], index[j], index[k]): m
+        for (i, j, k), m in ring.coeffs.items()
+        if i in index and j in index and k in index
+    }
+    labels = tuple(ring.labels[i] for i in kept)
+    return FusionRing(len(kept), labels, tuple(index[ring.dual[i]] for i in kept), coeffs)
+
+
 def grading_components_by_search(ring: FusionRing) -> list[int]:
     """Component id of each simple under the universal grading, grown by a
     breadth-first search that fuses with every adjoint object until no new

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -94,6 +95,14 @@ def test_phase_string_forms():
     assert str(Phase.of(12, 45)) == "4/15"
     assert Phase.parse("4/15") == Phase.of(4, 15)
     assert Phase.parse("3") == Phase.of(0)
+
+
+@pytest.mark.parametrize("text", [" 3 ", "1_0/3", "\u0661/\u0663", "1/-3", "1/0"])
+def test_phase_parse_refuses_all_but_ascii_a_or_a_over_b(text):
+    # int() alone takes the first three and a negative denominator, and
+    # Fraction raises ZeroDivisionError for the last.
+    with pytest.raises(ValueError, match=re.escape(f"twist {text!r} is not")):
+        Phase.parse(text)
 
 
 def test_phase_pickle_and_deepcopy_roundtrip():

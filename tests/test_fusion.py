@@ -32,6 +32,7 @@ from tests.oracles import (
     first_axiom_witnesses,
     grading_components_by_search,
     row_witness_by_dicts,
+    subring_by_filter,
 )
 
 
@@ -102,9 +103,20 @@ def corrupted_rings(count: int, seed: int):
         yield ring
 
 
+def _dual_only_corruption() -> FusionRing:
+    """SO(5)_2 with N_{Y1 Y2}^{Y1} = N_{Y2 Y1}^{Y1} = 2: unit and
+    commutativity hold, N_ij^0 = delta_{j, i*} too, and only
+    N_ij^k = N_{i* k}^j fails, first at (Y1, Y1, Y2)."""
+    ring = so_n2_fusion(5).with_coefficient(4, 5, 4, 2).with_coefficient(5, 4, 4, 2)
+    report = verify_fusion_ring(ring)
+    assert report.check("unit").passed and report.check("commutativity").passed
+    assert report.check("dual").witness == (4, 4, 5)
+    return ring
+
+
 def test_axiom_witnesses_match_row_major_oracles():
     failures = Counter()
-    for ring in [*corrupted_rings(300, seed=10), *_wide_rings()]:
+    for ring in [*corrupted_rings(300, seed=10), *_wide_rings(), _dual_only_corruption()]:
         expected = first_axiom_witnesses(ring)
         expected["associativity"] = min(associativity_violations(ring), default=None)
         report = verify_fusion_ring(ring)
@@ -386,6 +398,37 @@ def test_closure_matches_all_pairs_oracle():
             assert _closure(ring, seeds) == closure_by_all_pairs(ring, seeds)
 
 
+def _built_rings():
+    return (
+        [pointed_cyclic_ring(n) for n in range(1, 13)]
+        + [dihedral_fusion(n) for n in range(3, 22, 2)]
+        + [so_n2_fusion(n) for n in range(3, 42, 2)]
+    )
+
+
+def test_builders_equal_fully_validated_rings():
+    for ring in _built_rings():
+        validated = FusionRing(ring.rank, ring.labels, ring.dual, dict(ring.coeffs))
+        assert ring == validated
+        assert type(ring.labels) is type(ring.dual) is tuple
+        assert type(ring.coeffs) is type(validated.coeffs)
+        assert verify_fusion_ring(ring).all_passed
+
+
+def test_subring_matches_coefficient_filter_oracle():
+    for ring in _built_rings():
+        for g in range(ring.rank):
+            sub = subring_generated(ring, {g})
+            assert sub == subring_by_filter(ring, {g}), (ring.rank, g)
+            assert (sub is ring) == (sub.rank == ring.rank)
+            assert verify_fusion_ring(sub).all_passed
+
+
+def test_grading_is_computed_once():
+    for ring in (pointed_cyclic_ring(6), dihedral_fusion(9), so_n2_fusion(11)):
+        assert universal_grading(ring) is universal_grading(ring)
+
+
 def test_subring_generated_by_y1_rank():
     for n in (3, 7, 15):
         sub = subring_generated(so_n2_fusion(n), {4})
@@ -417,6 +460,13 @@ def test_subring_rejects_out_of_range_generators():
             subring_generated(ring, bad)
 
 
+def test_subring_rejects_generators_that_are_not_ints():
+    ring = so_n2_fusion(5)
+    for bad in ({1.0}, {True}, {1, "a"}, {None, 4}, [2, 3.0]):
+        with pytest.raises(ValueError, match="0 <= g < 6"):
+            subring_generated(ring, bad)
+
+
 def test_dihedral_examples():
     d3 = dihedral_fusion(3)
     assert d3.rank == 3
@@ -425,6 +475,13 @@ def test_dihedral_examples():
     d5 = dihedral_fusion(5)
     assert d5.rank == 4
     assert d5.fuse(2, 3) == {2: 1, 3: 1}  # Y1 x Y2 = Y1 + Y2
+
+
+def test_pointed_ring_rejects_bad_n():
+    # The builder's rules skip the constructor's checks, so it checks n itself.
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            pointed_cyclic_ring(bad)
 
 
 def test_dihedral_rejects_bad_n():
