@@ -209,7 +209,22 @@ class ClassDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassDescriptor":
-        return cls(tuple((int(f["pp"]), int(f["sign"])) for f in data["factors"]))
+        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        if not isinstance(data, dict):
+            raise ValueError("descriptor data must be a JSON object")
+        if "factors" not in data:
+            raise ValueError("missing key 'factors'")
+        factors = data["factors"]
+        if not isinstance(factors, list) or not all(
+            isinstance(f, dict) and f.keys() >= {"pp", "sign"} for f in factors
+        ):
+            raise ValueError('factors must be a list of {"pp": ..., "sign": ...} objects')
+        for f in factors:
+            if type(f["pp"]) is not int or f["pp"] < 2:
+                raise ValueError(f"pp must be an integer > 1, got {f['pp']!r}")
+            if type(f["sign"]) is not int or f["sign"] not in (1, -1):
+                raise ValueError(f"sign must be 1 or -1, got {f['sign']!r}")
+        return cls(tuple((f["pp"], f["sign"]) for f in factors))
 
 
 def _require_odd(n: int) -> None:

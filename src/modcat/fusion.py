@@ -38,8 +38,8 @@ class FusionRing:
     The constructor validates the structure (rank, lengths, a dual
     permutation, indices in range, positive multiplicities); the library's
     own builders, whose rules satisfy it by construction, use _of_rules.
-    The fuse index, axiom report, FP dimensions and universal grading are
-    computed on first use and kept.
+    The fuse index, the generators over the unit, axiom report, FP
+    dimensions and universal grading are computed on first use and kept.
     """
 
     rank: int
@@ -58,10 +58,7 @@ class FusionRing:
         if sorted(set(self.dual)) != list(range(self.rank)):
             raise ValueError("dual must be a permutation of the indices")
         for (i, j, k), m in self.coeffs.items():
-            if not (0 <= i < self.rank and 0 <= j < self.rank and 0 <= k < self.rank):
-                raise ValueError(f"coefficient index out of range: {(i, j, k)}")
-            if m <= 0:
-                raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
+            _check_coefficient(self.rank, i, j, k, m)
 
     @classmethod
     def _of_rules(
@@ -104,6 +101,10 @@ class FusionRing:
     def _grading(self) -> "GradingResult":
         return _universal_grading(self)  # a failure raises and is not cached
 
+    @cached_property
+    def _unit_generators(self) -> list[int]:
+        return _generators(self, {0})
+
     def __reduce__(self):  # a mappingproxy cannot be pickled; rebuild from a dict
         return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs))
 
@@ -113,13 +114,18 @@ class FusionRing:
             raise InvalidFusionRingError(f"fusion axioms violated: {bad}")
 
     def with_coefficient(self, i: int, j: int, k: int, m: int) -> "FusionRing":
-        """Copy of the ring with one coefficient overridden (0 deletes)."""
-        coeffs = dict(self.coeffs)
+        """Copy of the ring with one coefficient overridden (0 deletes).
+
+        The other coefficients already passed the constructor's checks, so
+        only the new one is checked, with the constructor's messages.
+        """
+        coeffs = self.coeffs.copy()
         if m == 0:
             coeffs.pop((i, j, k), None)
         else:
+            _check_coefficient(self.rank, i, j, k, m)
             coeffs[(i, j, k)] = m
-        return FusionRing(self.rank, self.labels, self.dual, coeffs)
+        return FusionRing._of_rules(self.rank, self.labels, self.dual, coeffs)
 
     def to_json_dict(self) -> dict:
         triples = sorted([i, j, k, m] for (i, j, k), m in self.coeffs.items())
@@ -152,6 +158,15 @@ class FusionRing:
         if len(coeffs) != len(rows):
             raise ValueError("duplicate [i, j, k] rows in N")
         return cls(data["rank"], labels, dual, coeffs)
+
+
+def _check_coefficient(rank: int, i: int, j: int, k: int, m: int) -> None:
+    """Refuse N_ij^k = m unless i, j, k are indices of a rank-`rank` ring
+    and m is positive."""
+    if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
+        raise ValueError(f"coefficient index out of range: {(i, j, k)}")
+    if m <= 0:
+        raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
 
 
 @dataclass(frozen=True)
@@ -302,7 +317,7 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     # under products, so the rows of a generating set decide the axiom;
     # the row-major first witness needs the rows in order.  The packed
     # table lives for this call only.
-    gens = _generators(ring, {0} if unit is None else set())
+    gens = ring._unit_generators if unit is None else _generators(ring, set())
     witness = None
     if any(_row_witness(ring, g, packed) for g in gens):
         witness = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
@@ -443,7 +458,7 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
     """
     # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
     # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
-    r, terms, gens = ring.rank, ring.coeffs.items(), _generators(ring, {0})
+    r, terms, gens = ring.rank, ring.coeffs.items(), ring._unit_generators
     v = [1.0 / r] * r
     for _ in range(64):
         w = [0.0] * r
@@ -466,7 +481,7 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
 
 def _certified_squares(ring: FusionRing, a: list[int], gens: list[int]) -> tuple[int, ...] | None:
     """a when d_i = sqrt(a_i) satisfies L_i d = d_i d exactly, else None;
-    gens is _generators(ring, {0}).
+    gens is ring._unit_generators.
 
     sqrt(a) and sqrt(b) are rationally dependent iff ab is a square, so
     the objects fall into classes with representatives s_c, and sqrt(a_k)

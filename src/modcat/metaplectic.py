@@ -400,11 +400,27 @@ class MetaplecticDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetaplecticDescriptor":
-        return cls(
-            n=int(data["N"]),
-            signs=tuple((int(s["p"]), int(s["eps"])) for s in data["signs"]),
-            h3=int(data["h3"]),
-        )
+        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        if not isinstance(data, dict):
+            raise ValueError("descriptor data must be a JSON object")
+        for key in ("N", "signs", "h3"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
+        n, signs, h3 = data["N"], data["signs"], data["h3"]
+        if type(n) is not int or n < 3 or n % 2 == 0:
+            raise ValueError(f"N must be an odd integer >= 3, got {n!r}")
+        if type(h3) is not int or h3 not in (0, 1):
+            raise ValueError(f"h3 must be 0 or 1, got {h3!r}")
+        if not isinstance(signs, list) or not all(
+            isinstance(s, dict) and s.keys() >= {"p", "eps"} for s in signs
+        ):
+            raise ValueError('signs must be a list of {"p": ..., "eps": ...} objects')
+        for s in signs:
+            if type(s["p"]) is not int or s["p"] < 2:
+                raise ValueError(f"p must be an integer > 1, got {s['p']!r}")
+            if type(s["eps"]) is not int or s["eps"] not in (1, -1):
+                raise ValueError(f"eps must be 1 or -1, got {s['eps']!r}")
+        return cls(n=n, signs=tuple((s["p"], s["eps"]) for s in signs), h3=h3)
 
 
 def count_metaplectic(n: int) -> int:

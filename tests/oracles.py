@@ -457,6 +457,17 @@ def subring_by_filter(ring: FusionRing, generators: set[int]) -> FusionRing:
     return FusionRing(len(kept), labels, tuple(index[ring.dual[i]] for i in kept), coeffs)
 
 
+def with_coefficient_by_constructor(ring: FusionRing, i: int, j: int, k: int, m: int) -> FusionRing:
+    """ring with N_ij^k = m (0 deletes), every coefficient re-checked by the
+    validating constructor."""
+    coeffs = dict(ring.coeffs)
+    if m == 0:
+        coeffs.pop((i, j, k), None)
+    else:
+        coeffs[(i, j, k)] = m
+    return FusionRing(ring.rank, ring.labels, ring.dual, coeffs)
+
+
 def grading_components_by_search(ring: FusionRing) -> list[int]:
     """Component id of each simple under the universal grading, grown by a
     breadth-first search that fuses with every adjoint object until no new

@@ -424,7 +424,34 @@ def test_canonical_invariant_examples():
 def test_descriptor_json_roundtrip():
     desc = canonical_invariant(45, 2)
     assert desc.modulus == 45
-    assert ClassDescriptor.from_json_dict(desc.to_json_dict()) == desc
+    for n in range(1, 200, 2):
+        for k in range(n):
+            if gcd(k, n) == 1:
+                desc = canonical_invariant(n, k)
+                assert ClassDescriptor.from_json_dict(desc.to_json_dict()) == desc
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"factors": [{"pp": 5.7, "sign": True}]}, "pp"),
+        ({"factors": [{"pp": 5, "sign": True}]}, "sign"),
+        ({"factors": [{"pp": 5, "sign": 1.0}]}, "sign"),
+        ({"factors": [{"pp": 5, "sign": 0}]}, "sign"),
+        ({"factors": [{"pp": 5, "sign": 2}]}, "sign"),
+        ({"factors": [{"pp": "5", "sign": 1}]}, "pp"),
+        ({"factors": [{"pp": True, "sign": 1}]}, "pp"),
+        ({"factors": [{"pp": 1, "sign": 1}]}, "pp"),
+        ({"factors": [{"pp": 5}]}, "factors"),
+        ({"factors": [[5, 1]]}, "factors"),
+        ({"factors": {"pp": 5, "sign": 1}}, "factors"),
+        ({}, "factors"),
+        ([], "descriptor"),
+    ],
+)
+def test_descriptor_json_refuses_malformed_fields(data, field):
+    with pytest.raises(ValueError, match=rf"^{field} |'{field}'"):
+        ClassDescriptor.from_json_dict(data)
 
 
 def test_classify_examples():

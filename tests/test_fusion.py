@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modcat import fusion
 from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
@@ -33,6 +34,7 @@ from tests.oracles import (
     grading_components_by_search,
     row_witness_by_dicts,
     subring_by_filter,
+    with_coefficient_by_constructor,
 )
 
 
@@ -427,6 +429,58 @@ def test_subring_matches_coefficient_filter_oracle():
 def test_grading_is_computed_once():
     for ring in (pointed_cyclic_ring(6), dihedral_fusion(9), so_n2_fusion(11)):
         assert universal_grading(ring) is universal_grading(ring)
+
+
+def test_generators_over_the_unit_are_computed_once(monkeypatch):
+    calls = []
+    generators = fusion._generators
+
+    def counted(ring, known):
+        calls.append(sorted(known))
+        return generators(ring, known)
+
+    monkeypatch.setattr(fusion, "_generators", counted)
+    for built in (pointed_cyclic_ring(6), dihedral_fusion(9), so_n2_fusion(11)):
+        ring = FusionRing(built.rank, built.labels, built.dual, built.coeffs)  # nothing cached
+        calls.clear()
+        assert verify_fusion_ring(ring).all_passed
+        fp_dimensions(ring)
+        assert calls == [[0]]
+        assert ring._unit_generators is ring._unit_generators
+
+
+def test_with_coefficient_matches_constructor_oracle():
+    """Results and errors equal those of the validating constructor."""
+
+    def outcome(build, ring, *entry):
+        try:
+            return build(ring, *entry)
+        except Exception as exc:  # the exception itself is the outcome
+            return type(exc), str(exc)
+
+    rng = random.Random(29)
+    for ring in _built_rings():
+        r = ring.rank
+        entries = [(i, j, k, m) for i, j, k in ((0, 0, 0), (r - 1, 0, r - 1), (1 % r, 1 % r, 0))
+                   for m in (0, 1, 2, -1, ring.n(i, j, k) + 1)]
+        entries += [(*index, m) for index in ((r, 0, 0), (0, -1, 0), (0, 0, r + 3))
+                    for m in (0, 1, -1)]
+        entries += [(*(rng.randrange(r) for _ in range(3)), rng.choice((0, 1, 3)))
+                    for _ in range(5)]
+        for entry in entries:
+            got = outcome(FusionRing.with_coefficient, ring, *entry)
+            assert got == outcome(with_coefficient_by_constructor, ring, *entry), entry
+            if isinstance(got, FusionRing):
+                assert type(got.coeffs) is type(ring.coeffs)
+                assert verify_fusion_ring(got) == verify_fusion_ring(
+                    with_coefficient_by_constructor(ring, *entry))
+    assert outcome(FusionRing.with_coefficient, so_n2_fusion(5), 0, 0, 7, 1) == (
+        ValueError, "coefficient index out of range: (0, 0, 7)")
+    assert outcome(FusionRing.with_coefficient, so_n2_fusion(5), 0, 0, 1, -2) == (
+        ValueError, "multiplicity must be positive, got N(0, 0, 1)=-2")
+    ring = so_n2_fusion(5)
+    assert (0, 0, 0) not in ring.with_coefficient(0, 0, 0, 0).coeffs
+    assert ring.n(0, 0, 0) == 1
 
 
 def test_subring_generated_by_y1_rank():

@@ -444,5 +444,43 @@ def test_enumerate_sign_vectors_biject_with_cyclic_classes():
 
 
 def test_descriptor_json_roundtrip():
-    d = enumerate_metaplectic(45)[3]
-    assert MetaplecticDescriptor.from_json_dict(d.to_json_dict()) == d
+    for n in range(3, 200, 2):
+        for d in enumerate_metaplectic(n):
+            assert MetaplecticDescriptor.from_json_dict(d.to_json_dict()) == d
+
+
+GOOD_DESCRIPTOR = {"N": 15, "signs": [{"p": 3, "eps": 1}, {"p": 5, "eps": -1}], "h3": 1}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"N": "15"}, "N"),
+        ({"N": 15.0}, "N"),
+        ({"N": True}, "N"),
+        ({"N": 14}, "N"),
+        ({"N": 1}, "N"),
+        ({"h3": "1"}, "h3"),
+        ({"h3": True}, "h3"),
+        ({"h3": 2}, "h3"),
+        ({"h3": 1.0}, "h3"),
+        ({"signs": [{"p": 3, "eps": True}]}, "eps"),
+        ({"signs": [{"p": 3, "eps": 0}]}, "eps"),
+        ({"signs": [{"p": 3.0, "eps": 1}]}, "p"),
+        ({"signs": [{"p": "3", "eps": 1}]}, "p"),
+        ({"signs": [{"p": 3}]}, "signs"),
+        ({"signs": [[3, 1]]}, "signs"),
+        ({"signs": "3:+1"}, "signs"),
+        ({"h3": None}, "h3"),
+    ],
+)
+def test_descriptor_json_refuses_malformed_fields(change, field):
+    assert MetaplecticDescriptor.from_json_dict(GOOD_DESCRIPTOR).n == 15
+    with pytest.raises(ValueError, match=rf"^{field} |'{field}'"):
+        MetaplecticDescriptor.from_json_dict({**GOOD_DESCRIPTOR, **change})
+
+
+@pytest.mark.parametrize("data", [[], {"N": 15, "signs": []}, {"signs": [], "h3": 0}])
+def test_descriptor_json_refuses_missing_keys(data):
+    with pytest.raises(ValueError, match="descriptor data|missing key"):
+        MetaplecticDescriptor.from_json_dict(data)
