@@ -233,7 +233,7 @@ def _cmd_ring_verify(args) -> CommandResult:
         with open(args.file, encoding="utf-8") as fh:
             data = json.load(fh)
         ring = fusion.FusionRing.from_json_dict(data)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
     _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)  # join_cost builds rank^2 dicts
     _limit("join cost", fusion.join_cost(ring), "MAX_JOIN", MAX_JOIN)

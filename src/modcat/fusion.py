@@ -7,10 +7,11 @@ Labels are display metadata only; all semantics are by index.  A ring is
 immutable and keeps its sparse rules, the fuse index, its axiom report,
 its FP dimensions and its universal grading, each computed once.  Every
 check runs in exact Python integers over the sparse rules, with no dense
-tensor and no numpy: each axiom compares ints of one table of products
-packed into ints (see verify_fusion_ring for the cost), and FP dimensions
-come from a float power iteration that is then certified exactly for
-weakly integral rings.
+tensor and no numpy: the dual law compares the coefficient map with
+reindexed copies of it, the other axioms compare ints of one table of
+products packed into ints (see verify_fusion_ring for the cost), and FP
+dimensions come from a float power iteration that is then certified
+exactly for weakly integral rings.
 """
 
 from __future__ import annotations
@@ -209,15 +210,15 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
     associativity over all index quadruples.  Computed once per ring, in
-    exact integers, on one table of rank^2 packed ints (_packed_products):
-    entry (i, j) holds N_ij^k in digit k of w bits, at most rank w bits, so
-    the table takes at most rank^3 w bits.  Unit and commutativity compare
+    exact integers.  The dual law is one comparison of the coefficient map
+    with itself reindexed, N_ij^k against N_{i* k}^j, O(nnz); a ring that
+    fails it, unit or commutativity makes at most two more, and the witness
+    is the least key at which a pair differs, O(nnz) again.  The other
+    axioms read one table of rank^2 packed ints (_packed_products): entry
+    (i, j) holds N_ij^k in digit k of w bits, at most rank w bits, so the
+    table takes at most rank^3 w bits.  Unit and commutativity compare
     entries with a power of two or with one other entry, O(rank^2) int
-    operations.  When both pass, the dual law is one comparison of the
-    coefficient map with itself reindexed, N_ij^k against N_{i* k}^j,
-    O(nnz); otherwise, or when that fails, each row is compared with its
-    dual's row repacked over the other index, O(rank^2 + nnz), for the
-    first witness.  Associativity checks rows: row i costs sum_j |i (x) j|
+    operations.  Associativity checks rows: row i costs sum_j |i (x) j|
     additions of rank packed ints plus sum_(j, k) |j (x) k| multiply-adds.
     Only a generating set of rows is checked, three for SO(N)_2; when the
     unit law fails, 0 is not known to pass and joins the set.  When a
@@ -243,30 +244,19 @@ def join_cost(ring: FusionRing) -> int:
 def _check_axioms(ring: FusionRing) -> FusionReport:
     """FusionRing._report.
 
-    Every stage compares ints of the packed table with ints packed the same
-    way, entry by entry in row-major (i, j) order, so the first differing
-    entry and its lowest differing digit give the witness (i, j, k).
+    Unit and commutativity compare ints of the packed table with ints
+    packed the same way, entry by entry in row-major (i, j) order, so the
+    first differing entry and its lowest differing digit give the witness
+    (i, j, k).  The dual law compares the coefficient map with reindexed
+    copies of it, and its witness is the least key at which they differ.
     """
-    r, rows, dual = ring.rank, ring._rows, ring.dual
+    r, dual = ring.rank, ring.dual
     table, w = packed = _packed_products(ring)
 
     def first(entries) -> tuple[int, int, int] | None:
         """(i, j, k) for the first (i, j, a, b) with a != b, k the lowest
         digit in which a and b differ."""
         return next(((i, j, _low_digit(a, b, w)) for i, j, a, b in entries if a != b), None)
-
-    def third_law() -> tuple[int, int, int] | None:
-        """The least (i, j, k) with N_ij^k != N_{k j*}^i, one repacked
-        column at a time: digit k of entry i of column b is N_kb^i."""
-        return min(
-            (
-                (i, j, _low_digit(table[i][j], q, w))
-                for j in range(r)
-                for i, q in enumerate(_repacked([row[dual[j]] for row in rows], w))
-                if table[i][j] != q
-            ),
-            default=None,
-        )
 
     # Stages run in order; the witness is the first mismatch of the first failing one.
     unit = first(
@@ -282,33 +272,26 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
         (i, j, row[j], table[j][i]) for i, row in enumerate(table) for j in range(i + 1, r)
     )
 
-    # N_ij^0 = delta_{j, dual(i)}, then N_ij^k = N_{i* k}^j, one repacked
-    # row at a time, and N_ij^k = N_{k j*}^i.  The second law and
-    # commutativity give the third: N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i,
-    # and the second and the unit law give the first: N_ij^0 = N_{i* 0}^j.
-    # So with unit and commutativity passing one comparison decides; the
-    # stages run only for a failing ring, to find its row-major witness.
-    mask = (1 << w) - 1
-    coeffs = ring.coeffs
-    if (
-        unit is None
-        and commutativity is None
-        and coeffs == {(dual[i], k, j): m for (i, j, k), m in coeffs.items()}
-    ):
-        witness = None
-    else:
+    # The dual law in three parts, each "the coefficient map equals this
+    # reindexed copy of it": N_ij^0 = delta_{j, i*}, then N_ij^k = N_{i* k}^j,
+    # then N_ij^k = N_{k j*}^i.  A copy is built from the entries: N_ac^b
+    # lands at (i, b, c) with i* = a, so at i = inverse[a], since dual need
+    # not be an involution in a ring that fails a law.  The second part
+    # and the unit law give the first, N_ij^0 = N_{i* 0}^j, and the second and
+    # commutativity give the third, N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i;
+    # so the others run only to find the row-major witness of a failing ring.
+    coeffs, items = ring.coeffs, ring.coeffs.items()
+    inverse = {d: i for i, d in enumerate(dual)}
+    witness = second = _first_difference(coeffs, {(inverse[a], b, c): m for (a, c, b), m in items})
+    if unit or commutativity or second:
+        first_part = {key: m for key, m in items if key[2] == 0}
         witness = (
-            first(
-                (i, j, p & mask, int(j == dual[i]))
-                for i, row in enumerate(table)
-                for j, p in enumerate(row)
+            _first_difference(first_part, {(i, d, 0): 1 for i, d in enumerate(dual)})
+            or second
+            or (
+                commutativity
+                and _first_difference(coeffs, {(c, inverse[b], a): m for (a, b, c), m in items})
             )
-            or first(
-                (i, j, p, q)
-                for i, row in enumerate(table)
-                for j, (p, q) in enumerate(zip(row, _repacked(rows[dual[i]], w)))
-            )
-            or (commutativity and third_law())
         )
     checks.append(AxiomCheck("dual", witness is None, witness))
     checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
@@ -332,14 +315,16 @@ def _low_digit(a: int, b: int, width: int) -> int:
     return ((low & -low).bit_length() - 1) // width
 
 
-def _repacked(entries: list[dict[int, int]], width: int) -> list[int]:
-    """Fuse-index entries packed over their position: digit k of entry l is
-    the multiplicity of l in entries[k]."""
-    packed = [0] * len(entries)
-    for k, c in enumerate(entries):
-        for l, m in c.items():
-            packed[l] += m << width * k
-    return packed
+def _first_difference(a: Mapping, b: Mapping) -> tuple[int, int, int] | None:
+    """The least key at which two coefficient maps differ, None if they are
+    equal.  Stored multiplicities are positive, so a key held by one map
+    only is a difference.  The maps are walked rather than their items
+    collected into a set, so a witness costs no memory beside them."""
+    if a == b:
+        return None
+    return min(
+        chain((key for key, m in a.items() if b.get(key) != m), (key for key in b if key not in a))
+    )
 
 
 def _generators(ring: FusionRing, known: set[int]) -> list[int]:
@@ -694,7 +679,7 @@ def dihedral_fusion(n: int) -> FusionRing:
     Y_i with Y_i (x) Y_j = Y_min(i+j, n-i-j) + Y_|i-j|, reading Y_0 as
     1 + Z.
     """
-    if n < 3 or n % 2 == 0:
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd n >= 3, got {n}")
     rank = 2 + (n - 1) // 2
     labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, rank - 1))

@@ -37,7 +37,7 @@ def so_n2_fusion(n: int) -> FusionRing:
     callers share one immutable ring, so it is verified and graded once
     while cached.
     """
-    if n < 3 or n % 2 == 0:
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
     rank = 4 + (n - 1) // 2
     coeffs = _dihedral_rules(n, 4)
@@ -426,7 +426,7 @@ class MetaplecticDescriptor:
 def count_metaplectic(n: int) -> int:
     """Number of inequivalent metaplectic modular categories with SO(N)_2
     fusion rules: 2^(s+1), s the number of distinct primes of N."""
-    if n < 3 or n % 2 == 0:
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
     return 2 ** (len(distinct_primes(n)) + 1)
 
@@ -440,7 +440,7 @@ def enumerate_metaplectic(n: int) -> list[MetaplecticDescriptor]:
     local parameter with any prescribed Legendre sign exists at every
     prime.
     """
-    if n < 3 or n % 2 == 0:
+    if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
     primes = distinct_primes(n)
     descriptors = []

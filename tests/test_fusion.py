@@ -116,9 +116,50 @@ def _dual_only_corruption() -> FusionRing:
     return ring
 
 
+def _third_dual_law_corruption() -> FusionRing:
+    """Z_5 with N_{1 2}^3 = N_{4 3}^2 = 2: unit, N_ij^0 = delta_{j, i*} and
+    N_ij^k = N_{i* k}^j hold, commutativity fails, and the dual witness
+    comes from N_ij^k = N_{k j*}^i, at (1, 2, 3)."""
+    ring = pointed_cyclic_ring(5).with_coefficient(1, 2, 3, 2).with_coefficient(4, 3, 2, 2)
+    report = verify_fusion_ring(ring)
+    assert report.check("unit").passed and not report.check("commutativity").passed
+    assert report.check("dual").witness == (1, 2, 3)
+    return ring
+
+
+def cyclic_dual_rings(count: int, seed: int):
+    """Rings of rank 4-6 whose dual has a 3-cycle, so it is not an
+    involution, with N_ij^0 = delta_{j, i*} restored: the first part of the
+    dual law holds, and the other two find the witness.  About half also
+    get a coefficient off the unit column set to 1 or 2."""
+    rng = random.Random(seed)
+    bases = (
+        [pointed_cyclic_ring(n) for n in (4, 5, 6)]
+        + [dihedral_fusion(n) for n in (5, 7, 9)]
+        + [so_n2_fusion(3), so_n2_fusion(5)]
+    )
+    for _ in range(count):
+        ring = rng.choice(bases)
+        a, b, c = rng.sample(range(ring.rank), 3)
+        dual = list(range(ring.rank))
+        dual[a], dual[b], dual[c] = b, c, a
+        coeffs = {key: m for key, m in ring.coeffs.items() if key[2] != 0}
+        coeffs.update(((i, d, 0), 1) for i, d in enumerate(dual))
+        if rng.random() < 1 / 2:
+            i, j = rng.randrange(ring.rank), rng.randrange(ring.rank)
+            coeffs[i, j, rng.randrange(1, ring.rank)] = rng.choice((1, 2))
+        yield FusionRing(ring.rank, ring.labels, dual, coeffs)
+
+
 def test_axiom_witnesses_match_row_major_oracles():
     failures = Counter()
-    for ring in [*corrupted_rings(300, seed=10), *_wide_rings(), _dual_only_corruption()]:
+    for ring in [
+        *corrupted_rings(300, seed=10),
+        *_wide_rings(),
+        _dual_only_corruption(),
+        _third_dual_law_corruption(),
+        *cyclic_dual_rings(200, seed=11),
+    ]:
         expected = first_axiom_witnesses(ring)
         expected["associativity"] = min(associativity_violations(ring), default=None)
         report = verify_fusion_ring(ring)
@@ -543,6 +584,9 @@ def test_dihedral_rejects_bad_n():
         dihedral_fusion(4)
     with pytest.raises(ValueError):
         dihedral_fusion(1)
+    for bad in (7.0, 7.5):
+        with pytest.raises(ValueError, match="need odd n >= 3"):
+            dihedral_fusion(bad)
 
 
 def test_dihedral_matches_character_table_oracle():

@@ -86,6 +86,10 @@ def test_so_n2_rejects_bad_n():
         so_n2_fusion(4)
     with pytest.raises(ValueError):
         so_n2_fusion(1)
+    so_n2_fusion(5)  # a cached int N does not answer for the float
+    for bad in (5.0, 7.0, 7.5):
+        with pytest.raises(ValueError, match="need odd N >= 3"):
+            so_n2_fusion(bad)
 
 
 @given(odd_N)
@@ -405,10 +409,10 @@ def test_count_examples():
 
 
 def test_count_rejects_bad_n():
-    with pytest.raises(ValueError):
-        count_metaplectic(6)
-    with pytest.raises(ValueError):
-        count_metaplectic(1)
+    for build in (count_metaplectic, enumerate_metaplectic):
+        for bad in (15.0, 6, 1):
+            with pytest.raises(ValueError, match="need odd N >= 3"):
+                build(bad)
 
 
 def test_enumerate_so3():
