@@ -6,7 +6,7 @@ loads numthy and cyclic only, and `modcat.so_n2_fusion` loads fusion and
 metaplectic.  Every public name is the layer's own object.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -65,12 +65,14 @@ __all__ = sorted(_OWNER)
 def __getattr__(name: str) -> object:
     """A layer, or a public name from its layer, imported on first access and
     then kept in the package namespace."""
-    if name in _LAYERS:
-        value = _import_module(f"{__name__}.{name}")
-    elif name in _OWNER:
-        value = getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
-    else:
+    layer = name if name in _LAYERS else _OWNER.get(name)
+    if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ takes the C import path, which `python -X importtime` logs;
+    # importlib.import_module's pure-Python path is not logged.
+    __import__(f"{__name__}.{layer}")
+    module = _sys.modules[f"{__name__}.{layer}"]
+    value = module if name == layer else getattr(module, name)
     globals()[name] = value
     return value
 

@@ -4,11 +4,12 @@ automorphisms, bosons, subgroup condensation, and quantum-double detection.
 
 A category stores its twists as integer residues over one common
 denominator (n for built categories); `Phase` objects are made only where
-the API hands twists out.  All classification decisions run in exact
-integer arithmetic; floats appear only in the numeric modular-relation
-check and the Gauss sum, which is read off its closed form (the Jacobi
-symbol and sqrt(n)).  numpy is imported inside the one array function,
-`modular_relation_residuals`, so the exact path never loads it.
+the API hands twists out.  All decisions, the modular relations
+included, run in exact integer arithmetic; floats appear only in the
+Gauss sum, which is read off its closed form (the Jacobi symbol and
+sqrt(n)), and in `modular_relation_residuals`, the numeric display of
+the modular relations.  numpy is imported inside that one array
+function, so the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .numthy import factorize, jacobi, unit_square_orbits
 
-MODULAR_TOL = 1e-9  # entrywise bound of verify_modular_relations
 _TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a twist text "a" or "a/b", b > 0
 
 
@@ -519,11 +519,30 @@ def is_quantum_double(cat: CyclicCategory) -> bool:
 
 
 def verify_modular_relations(cat: CyclicCategory) -> bool:
-    """Numeric sanity of the modular data: (S T)^3 = (G / sqrt(n)) S^2 and
-    S^4 = identity within MODULAR_TOL, with S the normalized S-matrix,
-    T = diag(twists), and G the Gauss sum."""
-    err1, err2 = modular_relation_residuals(cat)
-    return err1 <= MODULAR_TOL and err2 <= MODULAR_TOL
+    """Whether (S T)^3 = (G / sqrt(n)) S^2 and S^4 = identity hold exactly,
+    with S_ij = w^{-2kij} / sqrt(n), w = e^{2 pi i / n}, T = diag(twists)
+    and G the Gauss sum; even n raises UnsupportedModulusError.
+
+    They hold iff gcd(k, n) = 1, theta_0^3 = 1 and theta_j = theta_0
+    w^{k j^2} for every j.  The first relation reads S T S = lambda T^-1 S
+    T^-1.  S T S is Hankel, so theta_{i+l} theta_0 = theta_i theta_l
+    w^{2kil}: theta / theta_0 is the form of k times a character w^{aj}.
+    For a unit k write a = 2kb; completing the square then forces
+    4kb = 0 (mod n), so b = 0, and what is left is theta_0^3 = 1.  For a
+    non-unit k, S is not unitary and S^4 != I.  With theta_j = r_j / d
+    (d a multiple of n), the test is 3 r_0 = 0 (mod d) and n (r_j - r_0)
+    = k j^2 d (mod n d), i.e. r_j - r_0 = k j^2 d/n (mod d): O(n) integer
+    operations.  modular_relation_residuals gives the numeric errors.
+    """
+    n, k, d, s = cat.n, cat.k, cat.denominator, cat.residues
+    _require_odd(n)
+    r0, per_n = s[0], d // n
+    if gcd(k, n) != 1 or 3 * r0 % d:
+        return False
+    for j in range(n):
+        if (s[j] - r0 - k * j * j * per_n) % d:
+            return False
+    return True
 
 
 def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:

@@ -152,6 +152,15 @@ def gauss_sum_by_sum(n: int, k: int) -> complex:
     return complex(np.exp(2j * np.pi * ((k * j * j) % n) / n).sum())
 
 
+MODULAR_TOL = 1e-9  # entrywise bound of the numeric modular-relation verdict
+
+
+def modular_relations_by_residuals(residuals: tuple[float, float]) -> bool:
+    """The numeric verdict on (S T)^3 = (G / sqrt(n)) S^2 and S^4 = I: both
+    max entrywise residuals within MODULAR_TOL."""
+    return max(residuals) <= MODULAR_TOL
+
+
 def modular_relation_residuals_by_matmul(
     *cats: CyclicCategory,
 ) -> list[tuple[float, float]]:

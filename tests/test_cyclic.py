@@ -7,13 +7,12 @@ import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat.cyclic import (
-    MODULAR_TOL,
     ClassDescriptor,
     CondensationError,
     CyclicCategory,
@@ -52,6 +51,7 @@ from tests.oracles import (
     lagrangian_subgroup_by_search,
     modular_relation_residuals_by_matmul,
     modular_relation_residuals_by_phases,
+    modular_relations_by_residuals,
     modular_residuals_unblocked,
     residues_by_labels,
     smatrix_by_entries,
@@ -59,6 +59,7 @@ from tests.oracles import (
     smatrix_complex_by_entries,
     units,
 )
+from tests.test_package import fresh
 
 odd_n = st.integers(min_value=0, max_value=60).map(lambda i: 2 * i + 1)
 odd_n_to_10000 = st.integers(min_value=0, max_value=4999).map(lambda i: 2 * i + 1)
@@ -708,6 +709,16 @@ def test_modular_relations_hold():
         assert verify_modular_relations(build_cyclic(n, k))
 
 
+def test_modular_relations_decide_without_numpy():
+    """The exact decision loads no numpy: checked in a fresh interpreter,
+    since this one already holds numpy."""
+    script = """
+from modcat.cyclic import build_cyclic, verify_modular_relations
+print(json.dumps([verify_modular_relations(build_cyclic(10007, 2)), "numpy" in sys.modules]))
+"""
+    assert fresh(script) == [True, False]
+
+
 def test_modular_residuals_match_phase_oracle_bit_for_bit():
     """theta_j comes from the stored residue over its own denominator: the
     residuals equal those computed from the Phase twists exactly, for odd
@@ -723,27 +734,68 @@ def test_modular_residuals_match_phase_oracle_bit_for_bit():
 
 def test_modular_residuals_match_matmul_oracle():
     """The FFT residuals agree with four dense matrix products to
-    1e-12 max(1, |oracle|), with the same MODULAR_TOL verdicts, for odd
-    n < 120 and every k in [0, n), non-units included, and for n in
-    {997, 1001}; each category as built and with one twist moved by 1/n,
-    1/(2n) or 1/7."""
-    cases = [(n, k) for n in range(1, 120, 2) for k in range(n)] + [(997, 5), (1001, 2)]
+    1e-12 max(1, |oracle|), with the same numeric verdicts, and
+    verify_modular_relations gives that verdict, for odd n < 120 and every
+    k in [0, n), non-units included, and for (997, 5) and (1001, 2); each
+    category as built and with one twist moved by 1/n, 1/(2n) or 1/7."""
+    cases = {n: range(n) for n in range(1, 120, 2)} | {997: (5,), 1001: (2,)}
     verdicts = set()
-    for n, k in cases:
+    for n, ks in cases.items():
         table = [Phase.of(r, n) for r in range(n)]
-        twists = [table[k * j * j % n] for j in range(n)]
-        shift = (Phase.of(1, n), Phase.of(1, 2 * n), Phase.of(1, 7))[k % 3]
-        moved = twists[:]
-        moved[k % n] += shift
-        cats = (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved)))
-        for c, want in zip(cats, modular_relation_residuals_by_matmul(*cats)):
-            got = modular_relation_residuals(c)
-            for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, k, got, want)
-            verdict = max(want) <= MODULAR_TOL  # the test verify_modular_relations makes
-            assert (max(got) <= MODULAR_TOL) is verdict
-            verdicts.add(verdict)
+        shifts = (Phase.of(1, n), Phase.of(1, 2 * n), Phase.of(1, 7))
+        for k in ks:
+            twists = [table[k * j * j % n] for j in range(n)]
+            moved = twists[:]
+            moved[k % n] += shifts[k % 3]
+            cats = (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved)))
+            for c, want in zip(cats, modular_relation_residuals_by_matmul(*cats)):
+                got = modular_relation_residuals(c)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, k, got, want)
+                verdict = modular_relations_by_residuals(want)
+                assert modular_relations_by_residuals(got) is verdict
+                assert verify_modular_relations(c) is verdict, (n, k)
+                verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _form_times_character(n: int, k: int, form: int, a: int, shift: Fraction,
+                          tables: dict) -> CyclicCategory:
+    """The category on (n, k) with twists form j^2 / n + a j / n + shift,
+    its Phases read from tables[d], d = lcm(n, shift's denominator), which
+    is made on first use and shared by later calls."""
+    d = lcm(n, shift.denominator)
+    if d not in tables:
+        tables[d] = [Phase.of(r, d) for r in range(d)]
+    table, per_n, c = tables[d], d // n, shift.numerator * (d // shift.denominator)
+    return CyclicCategory(n, k, [table[((form * j + a) * j * per_n + c) % d] for j in range(n)])
+
+
+def test_modular_relations_match_numeric_verdict_on_families():
+    """verify_modular_relations gives the numeric verdict of
+    modular_relation_residuals, and that verdict is the expected one, for
+    odd n < 100 and every k in [0, n), on the twists k' j^2 / n + a j / n +
+    c: every twist of the k form shifted by c = 1/3 or 2/3 (holds iff k is
+    a unit) or by c = 1/6, 1/9 or 1/(2n) (never holds); a character
+    a = 1 + k mod (n - 1) (holds iff a = 0 mod n and k is a unit); and a
+    foreign form k' = 2k + 1 (holds iff k' = k mod n and k is a unit)."""
+    seen = {True: 0, False: 0}
+    for n in range(1, 100, 2):
+        tables: dict[int, list[Phase]] = {}
+        shifts = tuple(map(Fraction, (1, 2, 1, 1, 1), (3, 3, 6, 9, 2 * n)))
+        for k in range(n):
+            unit = gcd(k, n) == 1
+            a, foreign = 1 + k % max(1, n - 1), 2 * k + 1
+            cases = [(k, 0, c, unit and c.denominator == 3) for c in shifts]
+            cases.append((k, a, Fraction(0), unit and a % n == 0))
+            cases.append((foreign, 0, Fraction(0), unit and (foreign - k) % n == 0))
+            for form, a, c, expected in cases:
+                cat = _form_times_character(n, k, form, a, c, tables)
+                verdict = modular_relations_by_residuals(modular_relation_residuals(cat))
+                assert verify_modular_relations(cat) is verdict, (n, k, form, a, c)
+                assert verdict is expected, (n, k, form, a, c)
+                seen[verdict] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_modular_residuals_blocks_match_whole_matrix_bit_for_bit():

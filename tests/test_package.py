@@ -78,6 +78,21 @@ def test_cyclic_import_loads_numthy_and_cyclic_only():
     assert loaded == ["modcat", "modcat.cyclic", "modcat.numthy"]
 
 
+def test_importtime_logs_each_layer():
+    """The layers load through the C import path, which `python -X
+    importtime` logs: each layer gets its own line."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import modcat; modcat.numthy; modcat.cyclic; modcat.fusion; modcat.metaplectic"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()}
+    assert {"modcat.numthy", "modcat.cyclic", "modcat.fusion", "modcat.metaplectic"} <= logged
+
+
 def test_public_names_are_the_layers_own_objects():
     owners = fresh(
         """

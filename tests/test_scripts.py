@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -97,3 +98,23 @@ def test_bench_pairs_seed_range():
     for text in ("5-4", "4"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench.seed_range(text)
+
+
+def test_tier1_time_records_one_test_file(tmp_path):
+    """tier1_time.py on one small test file adds its side to the tier1
+    entry, with the passed and failed counts and the durations, and keeps
+    the file's other keys."""
+    tests = tmp_path / "test_small.py"
+    tests.write_text("import time\n\ndef test_slow():\n    time.sleep(0.05)\n\n"
+                     "def test_fails():\n    assert False\n")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"pairs": [], "tier1": {"before": {"passed": 1}}}))
+    proc = run_script("tier1_time.py", str(ROOT), "--side", "after", "--out", str(out),
+                      "--", str(tests))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(out.read_text())
+    assert record["pairs"] == [] and record["tier1"]["before"] == {"passed": 1}
+    after = record["tier1"]["after"]
+    assert (after["passed"], after["failed"], after["pytest_args"]) == (1, 1, [str(tests)])
+    assert after["seconds"] >= 0.05
+    assert ["call", "test_small.py::test_slow"] in [s[1:] for s in after["slowest"]]
