@@ -228,8 +228,8 @@ class ClassDescriptor:
 
 
 def _require_odd(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"modulus must be a positive integer, got {n!r}")
     if n % 2 == 0:
         raise UnsupportedModulusError(f"even modulus {n} is not supported")
 

@@ -56,6 +56,8 @@ class FusionRing:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if len(self.labels) != self.rank or len(self.dual) != self.rank:
             raise ValueError("labels and dual must have length rank")
+        if any(type(d) is not int for d in self.dual):
+            raise ValueError(f"dual entries must be integers, got {self.dual!r}")
         if sorted(set(self.dual)) != list(range(self.rank)):
             raise ValueError("dual must be a permutation of the indices")
         for (i, j, k), m in self.coeffs.items():
@@ -163,7 +165,9 @@ class FusionRing:
 
 def _check_coefficient(rank: int, i: int, j: int, k: int, m: int) -> None:
     """Refuse N_ij^k = m unless i, j, k are indices of a rank-`rank` ring
-    and m is positive."""
+    and m is positive, all of type int (so no bool or float)."""
+    if not (type(i) is type(j) is type(k) is type(m) is int):
+        raise ValueError(f"coefficient entries must be integers, got N{(i, j, k)}={m!r}")
     if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
         raise ValueError(f"coefficient index out of range: {(i, j, k)}")
     if m <= 0:

@@ -108,7 +108,7 @@ class CondensedData:
 def _z_action(ring: FusionRing, z: int) -> list[int]:
     """The permutation i -> z (x) i, validating that z is an invertible
     involution and that every orbit has size 1 or 2."""
-    if ring.n(z, z, 0) != 1 or ring.fuse(z, z) != {0: 1}:
+    if ring.fuse(z, z) != {0: 1}:
         raise CondensationInputError(
             f"object {ring.labels[z]} is not an involution: z (x) z != 1"
         )
@@ -144,7 +144,7 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     dimensions, so only a weakly integral ring can raise it.
     """
     ring.require_verified()
-    if not 0 < z < ring.rank:
+    if type(z) is not int or not 0 < z < ring.rank:
         raise CondensationInputError(
             f"z = {z}: need a non-unit object index, 1 <= z < {ring.rank}"
         )
@@ -231,12 +231,13 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     its children get residues +1 and -1, and fusing with it walks the
     remaining split sources in a chain, residues i and N - i.  The lifted
     fusion rules are then checked: the residue multiset of the children of
-    Y_i (x) Y_j must be {+-(i+j), +-(i-j)} mod N.  When the ring passes
-    verification, z (x) z = 1 and z fixes every split source, the row of
-    the generator decides every rule, since the chain peels each source
-    from products with it; other data has every pair of sources checked.
-    Fails (defensively) with the first witnessing pair, row-major, on
-    inconsistent input.
+    Y_i (x) Y_j must be {+-(i+j), +-(i-j)} mod N.  The row of the
+    generator decides every rule, since the chain peels each source from
+    products with it, provided the ring passes verification, z (x) z = 1
+    and z fixes every split source.  condense_z2 output always meets that;
+    other data is refused with GroupReconstructionError before any rule is
+    read.  Inconsistent rules fail with the first witnessing pair of the
+    generator row.
 
     Computed once per data; the returned group's own data answers with
     the same group.
@@ -258,6 +259,12 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
         raise GroupReconstructionError(
             "identity sector must be one merged unit plus split pairs"
         )
+    if not (
+        ring._report.all_passed and type(z) is int and 0 <= z < ring.rank
+        and ring.fuse(z, z) == {0: 1} and all(ring.fuse(z, s) == {s: 1} for s in pairs)
+    ):
+        raise GroupReconstructionError("not condensed data: need a verified ring and an "
+                                       "index z with z (x) z = 1 fixing every split source")
 
     # Chain the split sources by repeated fusion with the first one.
     sources = sorted(pairs)
@@ -300,14 +307,7 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     # = 1 and z fixes every split source.  Then, in a commutative ring with
     # a unit, sources[0] belongs once its row passes, and so does each
     # source the chain peeled from products with it: that row decides.
-    # Other data has every row checked.
-    one_row = (
-        ring._report.all_passed
-        and 0 <= z < ring.rank
-        and ring.fuse(z, z) == {0: 1}
-        and all(ring.fuse(z, s) == {s: 1} for s in sources)
-    )
-    for a in sources[:1] if one_row else sources:
+    for a in sources[:1]:
         for b in sources:
             lifted = sorted(
                 (ra + rb) % order

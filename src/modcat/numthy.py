@@ -44,8 +44,8 @@ def factorize(n: int) -> Factorization:
 
     factorize(1) == [].
     """
-    if n < 1:
-        raise ValueError(f"factorize requires n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"factorize requires an integer n >= 1, got {n!r}")
     factors: Factorization = []
     rest = n
     p = 2
@@ -140,6 +140,8 @@ def sqrt_mod_prime_power(a: int, p: int, e: int) -> int | None:
     jacobi(a, p) == +1.  The root comes from Tonelli-Shanks modulo p,
     Hensel-lifted to p**e after dividing out the even power of p in a.
     """
+    if not (type(a) is type(p) is type(e) is int):
+        raise ValueError(f"need integers a, p, e, got {a!r}, {p!r}, {e!r}")
     if p == 2:
         raise ValueError("p = 2 is not supported; only odd prime moduli")
     if not is_prime(p):
@@ -173,8 +175,8 @@ def unit_square_orbits(n: int) -> tuple[int, list[int]]:
     unit of each new sign vector therefore yields the orbit minima; the
     scan stops once all 2**s sign vectors have appeared.
     """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"need odd positive n, got {n}")
+    if type(n) is not int or n <= 0 or n % 2 == 0:
+        raise ValueError(f"need odd positive integer n, got {n!r}")
     if n == 1:
         return 1, [0]
     primes = distinct_primes(n)

@@ -159,6 +159,21 @@ def test_build_rejects_degenerate_and_even():
         build_cyclic(6, 1)
     with pytest.raises(ValueError):
         build_cyclic(-3, 1)
+    for n in (5.0, True):  # 5.0 once raised a TypeError
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            build_cyclic(n, 1)
+
+
+def test_non_int_moduli_are_refused():
+    # classify(15.0) used to answer; the others raised a TypeError.
+    for call in (
+        lambda: classify(15.0),
+        lambda: canonical_invariant(15.0, 2),
+        lambda: are_equivalent(15.0, 1, 4),
+        lambda: gauss_sum(5.0, 1),
+    ):
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            call()
 
 
 def test_k_stored_modulo_n():

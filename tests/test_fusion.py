@@ -312,6 +312,21 @@ def test_structural_validation_at_construction():
         FusionRing(rank=2, labels=("1", "g"), dual=(0, 1), coeffs={(0, 0, 5): 1})
     with pytest.raises(ValueError):
         FusionRing(rank=2, labels=("1", "g"), dual=(0, 1), coeffs={(0, 0, 0): -1})
+    # Entries that are not of type int once passed and crashed verification.
+    for dual, coeffs in (
+        ((0,), {(0, 0, 0): 1.0}),
+        ((0,), {(0, 0, 0): True}),
+        ((0,), {(0.0, 0, 0): 1}),
+        ((0,), {(0, False, 0): 1}),
+        ((0.0,), {(0, 0, 0): 1}),
+        ((True,), {}),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            FusionRing(rank=1, labels=("1",), dual=dual, coeffs=coeffs)
+    ring = pointed_cyclic_ring(3)
+    for key, m in (((0, 1, 1), 2.0), ((0, 1, 1), True), ((0, 1.0, 1), 1)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ring.with_coefficient(*key, m)
 
 
 @given(st.integers(min_value=1, max_value=24))

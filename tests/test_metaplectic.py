@@ -142,7 +142,7 @@ def test_condense_rejects_non_involution():
 
 def test_condense_rejects_out_of_range_index():
     ring = so_n2_fusion(5)  # rank 6
-    for z in (6, 7, -1, -5):
+    for z in (6, 7, -1, -5, 1.0, True):  # 1.0 once raised a TypeError
         with pytest.raises(CondensationInputError, match="1 <= z < 6"):
             condense_z2(ring, z)
 
@@ -309,6 +309,26 @@ def test_generator_row_matches_full_scan_on_so_n2():
         assert _group_outcome(data) == _oracle_outcome(data)
 
 
+def _z3_with_two_split_sources() -> CondensedData:
+    """Pointed Z_3 condensed by z = [0], with [1] and [2] both split.
+
+    The ring passes and z fixes everything, so the generator row is read,
+    and it fails: [1] (x) [1] = [2] lifts to two residues, not four."""
+    ring = pointed_cyclic_ring(3)
+
+    def obj(sources, split=None):
+        return CondensedObject(sources, tuple(ring.labels[s] for s in sources), split, 1.0)
+
+    d0 = (obj((0,)),) + tuple(obj((s,), half) for s in (1, 2) for half in (1, 2))
+    return CondensedData(d0=d0, d1=(obj((1, 2)),), ring=ring, z=0)
+
+
+REFUSAL = (
+    "not condensed data: need a verified ring and an index z with z (x) z = 1 "
+    "fixing every split source"
+)
+
+
 def test_generator_row_matches_full_scan_on_hand_built_data():
     base = condense_z2(so_n2_fusion(7), 1)
     d0 = list(base.d0)
@@ -316,20 +336,44 @@ def test_generator_row_matches_full_scan_on_hand_built_data():
     d0[pos[0]], d0[pos[1]] = d0[pos[1]], d0[pos[0]]
     swapped = replace(base, d0=tuple(d0))
     # Y1 (x) Y2 = Y1 + Y3 with the Y3 pair left out: the generator row fails.
-    # (The ring passes, and Z fixes every source, so that row alone is read.)
     short = replace(base, d0=tuple(o for o in base.d0 if o.sources != (6,)))
-    cases = [base, swapped, short]
-    cases += [replace(base, ring=base.ring.with_coefficient(*key, m)) for key, m in (
-        ((4, 4, 4), 1), ((4, 5, 6), 0), ((5, 5, 4), 2), ((6, 6, 6), 1), ((1, 4, 5), 1)
-    )]
-    cases += [replace(base, z=z) for z in range(base.ring.rank)]  # 2, 3, 4.. move sources
-    cases += [condense_z2(pointed_cyclic_ring(2), 1)]
+    # Every case meets the generator row's precondition.
+    cases = [base, swapped, short, replace(base, z=0), replace(base, z=1)]
+    cases += [condense_z2(pointed_cyclic_ring(2), 1), _z3_with_two_split_sources()]
     outcomes = [_group_outcome(data) for data in cases]
     assert outcomes == [_oracle_outcome(data) for data in cases]
     assert outcomes[1] != outcomes[0] and isinstance(outcomes[1], tuple)
     assert outcomes[2] == "component Y3 is not in the identity sector"
+    assert outcomes[4] == outcomes[0]
+    assert outcomes[6] == "group law inconsistent: witness pair ([1], [1])"
     errors = [o for o in outcomes if isinstance(o, str)]
-    assert len(set(errors)) >= 4, errors
+    assert len(set(errors)) == 4, errors
+
+
+def test_reconstruct_refuses_data_condense_z2_cannot_make():
+    base = condense_z2(so_n2_fusion(7), 1)  # rank 7; Z = 1 fixes Y1..Y3
+    unverified = [replace(base, ring=base.ring.with_coefficient(*key, m)) for key, m in (
+        ((4, 4, 4), 1), ((4, 5, 6), 0), ((5, 5, 4), 2), ((6, 6, 6), 1), ((1, 4, 5), 1)
+    )]
+    assert not any(verify_fusion_ring(data.ring).all_passed for data in unverified)
+    not_an_index = [replace(base, z=z) for z in (7, 8, -1, -6, 1.0, True, None, "1")]
+    not_an_involution = [replace(base, z=z) for z in range(2, 7)]  # X1, X2, Y1..Y3
+    # Pointed Z_4 with z = [2]: [2] (x) [2] = [0], but z moves the split [1].
+    moves = CondensedData(
+        d0=(
+            CondensedObject((0, 2), ("[0]", "[2]"), None, 1.0),
+            CondensedObject((1,), ("[1]",), 1, 0.5),
+            CondensedObject((1,), ("[1]",), 2, 0.5),
+        ),
+        d1=(CondensedObject((3,), ("[3]",), None, 1.0),),
+        ring=pointed_cyclic_ring(4),
+        z=2,
+    )
+    for data in unverified + not_an_index + not_an_involution + [moves]:
+        assert _group_outcome(data) == REFUSAL, data.z
+        report = is_tambara_yamagami(data)  # never raises
+        assert not report.is_ty and report.reason == REFUSAL
+        assert report.group_order is None
 
 
 # --------------------------------------------------------- Tambara-Yamagami
@@ -359,24 +403,28 @@ def test_ty_false_with_two_objects_in_d1():
 
 
 def test_ty_false_with_non_pointed_identity_sector():
-    # Y1 (x) Y1 gains a Y1: the children of Y1 no longer fuse like group
-    # elements, so the identity sector is not a pointed group.
+    # The children of [1] and [2] do not fuse like group elements, so the
+    # identity sector is not a pointed group.
+    report = is_tambara_yamagami(_z3_with_two_split_sources())
+    assert not report.is_ty and report.group_order is None
+    assert report.reason == "group law inconsistent: witness pair ([1], [1])"
+    # Y1 (x) Y1 gaining a Y1 breaks the ring itself, which is refused.
     base = condense_z2(so_n2_fusion(5), 1)
     broken = replace(base, ring=base.ring.with_coefficient(4, 4, 4, 1))
     report = is_tambara_yamagami(broken)
-    assert not report.is_ty
-    assert "group law inconsistent" in report.reason
+    assert not report.is_ty and report.group_order is None
+    assert report.reason == REFUSAL
 
 
 def test_ty_false_when_dimension_mismatch():
-    # X1 (x) X1 = 1 + Y1 drops Y2, so m (x) m misses Y2^1 and Y2^2
-    # (d_m^2 = 3, not |A| = 5).
+    # X1 (x) X1 = 1 + Y1 drops Y2 (d_m^2 = 3, not |A| = 5); the ring then
+    # fails verification, so no group is reconstructed.  A verified ring
+    # whose m (x) m misses A is test_ty_reads_fusion_rules_not_dimensions.
     base = condense_z2(so_n2_fusion(5), 1)
     broken = replace(base, ring=base.ring.with_coefficient(2, 2, 5, 0))
     report = is_tambara_yamagami(broken)
-    assert not report.is_ty
-    assert report.group_order == 5
-    assert "m (x) m" in report.reason
+    assert not report.is_ty and report.group_order is None
+    assert report.reason == REFUSAL
 
 
 def test_ty_reads_fusion_rules_not_dimensions():

@@ -31,6 +31,9 @@ def test_factorize_examples():
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
+    for n in (15.0, True, "15"):  # 15.0 once factored as [(3, 1), (5.0, 1)]
+        with pytest.raises(ValueError, match="integer"):
+            factorize(n)
 
 
 def test_factorize_small_range_exhaustive():
@@ -114,6 +117,9 @@ def test_sqrt_mod_prime_power_rejects_bad_inputs():
         sqrt_mod_prime_power(9, 3, 2)  # a out of range
     with pytest.raises(ValueError):
         sqrt_mod_prime_power(1, 3, 0)
+    for args in ((4, 5.0, 1), (4.0, 5, 1), (4, 5, 1.0), (True, 5, 1)):
+        with pytest.raises(ValueError, match="integers"):  # not a TypeError
+            sqrt_mod_prime_power(*args)
 
 
 def test_sqrt_paths_agree_on_overlap():
@@ -181,6 +187,9 @@ def test_unit_square_orbit_examples():
 def test_unit_square_orbits_rejects_even():
     with pytest.raises(ValueError):
         unit_square_orbits(4)
+    for n in (15.0, True):  # both once got an answer
+        with pytest.raises(ValueError, match="integer"):
+            unit_square_orbits(n)
 
 
 def test_unit_square_orbit_count_small_exhaustive():
