@@ -134,6 +134,9 @@ class CyclicCategory:
     denominator: int = field(init=False)
 
     def __init__(self, n: int, k: int, twists: Sequence[Phase]) -> None:
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        _require_int_k(k)
         if len(twists) != n:
             raise ValueError(f"need one twist per label: n = {n}, got {len(twists)}")
         d = lcm(n, *(t.frac.denominator for t in twists))
@@ -180,14 +183,10 @@ class CyclicCategory:
         for key in ("n", "k", "twists"):
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
-        n, k, twists = data["n"], data["k"], data["twists"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        if type(k) is not int:
-            raise ValueError(f"k must be an integer, got {k!r}")
+        twists = data["twists"]
         if not isinstance(twists, list):
             raise ValueError('twists must be a list of "a" or "a/b" strings')
-        return cls(n=n, k=k, twists=tuple(map(Phase.parse, twists)))
+        return cls(n=data["n"], k=data["k"], twists=tuple(map(Phase.parse, twists)))
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,13 @@ def _require_odd(n: int) -> None:
         raise UnsupportedModulusError(f"even modulus {n} is not supported")
 
 
+def _require_int_k(k: int) -> None:
+    if type(k) is not int:  # refuses bools and floats
+        raise ValueError(f"k must be an integer, got {k!r}")
+
+
 def _require_unit(n: int, k: int) -> int:
+    _require_int_k(k)
     g = gcd(k, n)
     if g != 1:
         raise DegenerateFormError(f"degenerate form: gcd(k,n) = {g}")
@@ -324,6 +329,7 @@ def gauss_sum(n: int, k: int) -> complex:
     |G| = sqrt(n) exactly when gcd(k, n) = 1.
     """
     _require_odd(n)
+    _require_int_k(k)
     g = gcd(k, n)
     m = n // g
     value = g * jacobi(k // g, m) * sqrt(m)

@@ -56,6 +56,8 @@ class FusionRing:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
         if len(self.labels) != self.rank or len(self.dual) != self.rank:
             raise ValueError("labels and dual must have length rank")
+        if not all(isinstance(s, str) for s in self.labels):
+            raise ValueError(f"labels must be strings, got {self.labels!r}")
         if any(type(d) is not int for d in self.dual):
             raise ValueError(f"dual entries must be integers, got {self.dual!r}")
         if sorted(set(self.dual)) != list(range(self.rank)):
@@ -102,7 +104,7 @@ class FusionRing:
 
     @cached_property
     def _grading(self) -> "GradingResult":
-        return _universal_grading(self)  # a failure raises and is not cached
+        return _universal_grading(self)
 
     @cached_property
     def _unit_generators(self) -> list[int]:
@@ -120,14 +122,15 @@ class FusionRing:
         """Copy of the ring with one coefficient overridden (0 deletes).
 
         The other coefficients already passed the constructor's checks, so
-        only the new one is checked, with the constructor's messages.
+        only the new one is checked, a deletion too, with the constructor's
+        messages.
         """
+        _check_coefficient(self.rank, i, j, k, m, least=0)
         coeffs = self.coeffs.copy()
-        if m == 0:
-            coeffs.pop((i, j, k), None)
-        else:
-            _check_coefficient(self.rank, i, j, k, m)
+        if m:
             coeffs[(i, j, k)] = m
+        else:
+            coeffs.pop((i, j, k), None)
         return FusionRing._of_rules(self.rank, self.labels, self.dual, coeffs)
 
     def to_json_dict(self) -> dict:
@@ -163,14 +166,14 @@ class FusionRing:
         return cls(data["rank"], labels, dual, coeffs)
 
 
-def _check_coefficient(rank: int, i: int, j: int, k: int, m: int) -> None:
+def _check_coefficient(rank: int, i: int, j: int, k: int, m: int, least: int = 1) -> None:
     """Refuse N_ij^k = m unless i, j, k are indices of a rank-`rank` ring
-    and m is positive, all of type int (so no bool or float)."""
+    and m >= least (0 for a deletion), all of type int (so no bool or float)."""
     if not (type(i) is type(j) is type(k) is type(m) is int):
         raise ValueError(f"coefficient entries must be integers, got N{(i, j, k)}={m!r}")
     if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
         raise ValueError(f"coefficient index out of range: {(i, j, k)}")
-    if m <= 0:
+    if m < least:
         raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
 
 
@@ -585,13 +588,11 @@ def _universal_grading(ring: FusionRing) -> GradingResult:
 
     order = len(reps)
 
+    # Every component of a product lies in one coset: for a, b in x (x) y,
+    # b lies in (x y)(x y)* (x) a = (x x*)(y y*) (x) a, whose components lie
+    # in the adjoint closure times a.  So any one component gives the grade.
     def comp_mul(a: int, b: int) -> int:
-        targets = {component[k] for k in ring.fuse(reps[a], reps[b])}
-        if len(targets) != 1:
-            raise InvalidFusionRingError(
-                f"fusion is not grade-additive on components {a}, {b}"
-            )
-        return targets.pop()
+        return component[next(iter(ring.fuse(reps[a], reps[b])))]
 
     identity = component[0]
     # Cyclic iff some component's powers sweep every component.

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from .fusion import FusionRing, _dihedral_rules, universal_grading
+from .fusion import FusionRing, _dihedral_rules
 from .numthy import distinct_primes
 
 
@@ -105,33 +105,14 @@ class CondensedData:
         return _reconstruct_group(self)  # a failure raises and is not cached
 
 
-def _z_action(ring: FusionRing, z: int) -> list[int]:
-    """The permutation i -> z (x) i, validating that z is an invertible
-    involution and that every orbit has size 1 or 2."""
-    if ring.fuse(z, z) != {0: 1}:
-        raise CondensationInputError(
-            f"object {ring.labels[z]} is not an involution: z (x) z != 1"
-        )
-    sigma = []
-    for i in range(ring.rank):
-        targets = ring.fuse(z, i)
-        if len(targets) != 1 or set(targets.values()) != {1}:
-            raise CondensationInputError(
-                f"object {ring.labels[z]} is not invertible: z (x) "
-                f"{ring.labels[i]} is not simple"
-            )
-        sigma.append(next(iter(targets)))
-    for i, j in enumerate(sigma):
-        if sigma[j] != i:
-            raise CondensationInputError(
-                f"orbit structure violated at {ring.labels[i]}: the z-action "
-                "does not square to the identity"
-            )
-    return sigma
-
-
 def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     """Condense the invertible involution z at the fusion-ring level.
+
+    Precondition: the ring passes verification (else InvalidFusionRingError),
+    and z is a non-unit index with z (x) z = 1 whose ring has a cyclic
+    universal grading (else CondensationInputError).  Nothing more is asked
+    of z: in a verified ring, z (x) z = 1 alone makes z (x) - a permutation
+    of the simples of order 2.
 
     Free z-orbits {X, zX} merge into one object of dimension d_X; fixed
     simples split into two halves of dimension d_X / 2.  Sectors come
@@ -148,9 +129,16 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
         raise CondensationInputError(
             f"z = {z}: need a non-unit object index, 1 <= z < {ring.rank}"
         )
-    sigma = _z_action(ring, z)
+    if ring.fuse(z, z) != {0: 1}:
+        raise CondensationInputError(
+            f"object {ring.labels[z]} is not an involution: z (x) z != 1"
+        )
+    # N_zz^0 = 1 and the dual law give z* = z, so sum_k (N_zi^k)^2 = sum_k
+    # N_zi^k N_zk^i is the coefficient of i in z (x) (z (x) i) = i, which is
+    # 1.  So z (x) i is one simple of multiplicity 1, and z (x) (z (x) i) = i.
+    sigma = [next(iter(ring.fuse(z, i))) for i in range(ring.rank)]
     dims, squares = ring._fp
-    grading = universal_grading(ring)
+    grading = ring._grading
     if not grading.cyclic:
         raise CondensationInputError(
             "universal grading is not cyclic; sector assignment unsupported"

@@ -25,8 +25,8 @@ from modcat.cyclic import (
     build_cyclic,
     gauss_sum,
 )
-from modcat.fusion import FusionRing
-from modcat.metaplectic import CondensedData, GroupReconstructionError
+from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring
+from modcat.metaplectic import CondensedData, GroupReconstructionError, so_n2_fusion
 
 
 def is_prime_trial(n: int) -> bool:
@@ -437,6 +437,35 @@ def so_n2_by_rules(n: int) -> FusionRing:
     return FusionRing(rank=rank, labels=labels, dual=tuple(range(rank)), coeffs=coeffs)
 
 
+def deligne_product(a: FusionRing, b: FusionRing) -> FusionRing:
+    """The product ring of a and b: simple (i, j) at index i * b.rank + j,
+    N_{(i,j)(k,l)}^{(m,n)} = N_ik^m N_jl^n, built through the validating
+    constructor."""
+    r = b.rank
+    coeffs = {
+        (i * r + j, k * r + l, m * r + n): x * y
+        for (i, k, m), x in a.coeffs.items()
+        for (j, l, n), y in b.coeffs.items()
+    }
+    labels = tuple(f"{x}*{y}" for x in a.labels for y in b.labels)
+    dual = tuple(a.dual[i] * r + b.dual[j] for i in range(a.rank) for j in range(r))
+    return FusionRing(a.rank * r, labels, dual, coeffs)
+
+
+def fibonacci_ring() -> FusionRing:
+    """1 and t with t (x) t = 1 + t: not weakly integral."""
+    coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1}
+    return FusionRing(rank=2, labels=("1", "t"), dual=(0, 1), coeffs=coeffs)
+
+
+def small_deligne_products() -> list[FusionRing]:
+    """The 49 ordered products of Z_2, Z_3, Z_4, SO(3)_2, SO(5)_2, the
+    dihedral ring of order 6 and Fibonacci; some have non-cyclic gradings."""
+    factors = [pointed_cyclic_ring(n) for n in (2, 3, 4)]
+    factors += [so_n2_fusion(3), so_n2_fusion(5), dihedral_fusion(3), fibonacci_ring()]
+    return [deligne_product(a, b) for a in factors for b in factors]
+
+
 def closure_by_all_pairs(ring: FusionRing, seeds: set[int]) -> set[int]:
     """Smallest fusion- and dual-closed set containing the unit and seeds,
     grown by fusing every member with every new member and adding the
@@ -468,9 +497,10 @@ def subring_by_filter(ring: FusionRing, generators: set[int]) -> FusionRing:
 
 def with_coefficient_by_constructor(ring: FusionRing, i: int, j: int, k: int, m: int) -> FusionRing:
     """ring with N_ij^k = m (0 deletes), every coefficient re-checked by the
-    validating constructor."""
+    validating constructor; a deleted index is checked as a one-entry ring."""
     coeffs = dict(ring.coeffs)
-    if m == 0:
+    if type(m) is int and m == 0:
+        FusionRing(ring.rank, ring.labels, ring.dual, {(i, j, k): 1})
         coeffs.pop((i, j, k), None)
     else:
         coeffs[(i, j, k)] = m

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -491,6 +492,90 @@ print(json.dumps([statuses, "numpy" in sys.modules]))
     statuses, loaded = json.loads(proc.stdout)
     assert statuses == [0] * len(SUBCOMMANDS) + [0, 2] + [1] * len(refusals)
     assert loaded is False
+
+
+# ---------------------------------------------------------- output digests
+
+
+def cyclic_commands(n: str) -> list[list[str]]:
+    return [
+        ["cyclic", "build", n, "2"],
+        ["cyclic", "classify", n],
+        ["cyclic", "equiv", n, "1", "2"],
+        ["cyclic", "autos", n, "2"],
+        ["cyclic", "bosons", n, "2"],
+        ["cyclic", "decompose", n, "2"],
+        ["cyclic", "double", n, "2"],
+    ]
+
+
+# group: (commands, sha256 of their json and table output and exit codes)
+DIGEST_GROUPS = {
+    "subcommands": (
+        [argv[: argv.index("--format")] if "--format" in argv else argv for argv in SUBCOMMANDS]
+        + [
+            ["cyclic", "build", "9", "3"],
+            ["cyclic", "build", "6", "1"],
+            ["cyclic", "frobnicate", "5"],
+            ["so2", "fusion", "4"],
+            ["so2", "condense", "501"],
+            ["meta", "count", "2"],
+        ],
+        "b1e51fc86eee897a863dac7a47434a28f9b428fc90e5ddb2af4f75a992d64ba5",
+    ),
+    "so2": (
+        [["so2", verb, str(n)] for n in range(3, 100, 2) for verb in ("fusion", "verify", "condense")],
+        "355694a93ec5f2dc59a5b1792a8f4fd315cc91cd8ee0399b3f23872ec83ed113",
+    ),
+    "cyclic": (
+        [argv for n in [*range(1, 60, 2), 99, 1001, 99991] for argv in cyclic_commands(str(n))],
+        "4f3cdfe87d4a65845635258398205edf24fb5027e8c4ec4bd08f1223a7de1b28",
+    ),
+    "meta": (
+        [
+            ["meta", verb, str(n)]
+            for n in (1, 3, 9, 15, 45, 105, 1001, 15015, 99991)
+            for verb in ("count", "enumerate")
+        ],
+        "8dd16603018c772485e1deb7eff25c03b31e18ef7170280c7691cc0223fac326",
+    ),
+    "cyclic condense": (
+        [
+            ["cyclic", "condense", "9", "1", "--subgroup", "0,3,6"],
+            ["cyclic", "condense", "9", "1", "--subgroup", "0,3"],
+        ],
+        "16d6df76a5d4edb71ae36b308cc4101def7f90b79ea6a62b2037a1796738918f",
+    ),
+    "ring verify": (
+        [["ring", "verify", "--file", name] for name in ("valid.json", "corrupted.json", "malformed.json")],
+        "adfdd675e95c9ad3797b1d8a734693654c4cdbc4e5748ca0be85bcee6e696473",
+    ),
+}
+
+
+def output_digest(commands: list[list[str]]) -> str:
+    digest = hashlib.sha256()
+    for argv in commands:
+        for fmt in ("json", "table"):
+            result = run([*argv, "--format", fmt])
+            digest.update(f"{argv} {fmt}\n{result.status}\n{result.table}\n".encode())
+    return digest.hexdigest()
+
+
+def test_cli_output_matches_recorded_digests(tmp_path, monkeypatch):
+    """Each command group prints what it printed when its digest was
+    recorded, byte for byte and with the same exit codes, in both formats."""
+    monkeypatch.chdir(tmp_path)  # ring verify prints the file name it was given
+    (tmp_path / "valid.json").write_text(json.dumps(so_n2_fusion(7).to_json_dict()))
+    corrupted = so_n2_fusion(7).with_coefficient(4, 5, 6, 2)
+    (tmp_path / "corrupted.json").write_text(json.dumps(corrupted.to_json_dict()))
+    (tmp_path / "malformed.json").write_text('{"rank": 2, "labels": ["1"]')
+    changed = [
+        group
+        for group, (commands, recorded) in DIGEST_GROUPS.items()
+        if output_digest(commands) != recorded
+    ]
+    assert not changed, f"CLI output changed in groups: {changed}"
 
 
 # ------------------------------------------------------ integer arguments

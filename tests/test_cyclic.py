@@ -174,6 +174,20 @@ def test_non_int_moduli_are_refused():
     ):
         with pytest.raises(ValueError, match="modulus must be a positive integer"):
             call()
+    # A float k raised a TypeError; a bool k was read as 0 or 1.
+    for call in (
+        lambda: build_cyclic(5, 1.0),
+        lambda: build_cyclic(5, True),
+        lambda: canonical_invariant(15, 2.0),
+        lambda: are_equivalent(15, 1.0, 4),
+        lambda: are_equivalent(15, 1, False),
+        lambda: braided_autos(15, 2.0),
+        lambda: decompose(15, 2.0),
+        lambda: gauss_sum(5, 1.5),
+        lambda: gauss_sum(5, True),
+    ):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call()
 
 
 def test_k_stored_modulo_n():
@@ -946,6 +960,18 @@ _GOOD_CATEGORY = {"n": 3, "k": 1, "twists": ["0/1", "1/3", "1/3"]}
 def test_category_json_refuses_malformed_fields(change, message):
     with pytest.raises(ValueError, match=message):
         CyclicCategory.from_json_dict({**_GOOD_CATEGORY, **change})
+
+
+def test_category_constructor_refuses_what_the_reader_refuses():
+    # Both were accepted: the first wrote "k": 1.5, which the reader refuses,
+    # and the second raised a ZeroDivisionError in verify_balancing.
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        CyclicCategory(3, 1.5, [Phase.of(0)] * 3)
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
+        CyclicCategory(0, 1, ())
+    for n, k in ((3.0, 1), (True, 1), (1, True)):
+        with pytest.raises(ValueError, match="must be"):
+            CyclicCategory(n, k, [Phase.of(0)])
 
 
 def test_category_json_refuses_non_object_and_missing_keys():

@@ -30,9 +30,11 @@ from tests.oracles import (
     associativity_violations,
     closure_by_all_pairs,
     dihedral_character_coeffs,
+    fibonacci_ring,
     first_axiom_witnesses,
     grading_components_by_search,
     row_witness_by_dicts,
+    small_deligne_products,
     subring_by_filter,
     with_coefficient_by_constructor,
 )
@@ -323,6 +325,11 @@ def test_structural_validation_at_construction():
     ):
         with pytest.raises(ValueError, match="must be integers"):
             FusionRing(rank=1, labels=("1",), dual=dual, coeffs=coeffs)
+    # Labels that are not strings were accepted and written as JSON that
+    # from_json_dict refuses.
+    for labels in ((1,), (None,), (b"1",)):
+        with pytest.raises(ValueError, match="labels must be strings"):
+            FusionRing(1, labels, (0,), {(0, 0, 0): 1})
     ring = pointed_cyclic_ring(3)
     for key, m in (((0, 1, 1), 2.0), ((0, 1, 1), True), ((0, 1.0, 1), 1)):
         with pytest.raises(ValueError, match="must be integers"):
@@ -364,12 +371,7 @@ def test_so_n2_squared_dimensions_are_exact():
 
 
 def test_fibonacci_dimensions_fall_back_to_floats():
-    fib = FusionRing(
-        rank=2,
-        labels=("1", "t"),
-        dual=(0, 1),
-        coeffs={(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 1},
-    )
+    fib = fibonacci_ring()
     dims = fp_dimensions(fib)
     assert fib._fp[1] is None  # the golden ratio squared is not an integer
     assert dims[1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-14)
@@ -396,9 +398,15 @@ def test_grading_trivial_ring():
 
 
 def test_grading_is_additive_under_fusion():
-    for ring in (pointed_cyclic_ring(9), so_n2_fusion(11), dihedral_fusion(7)):
+    rings = [pointed_cyclic_ring(9), so_n2_fusion(11), dihedral_fusion(7)]
+    for ring in rings + small_deligne_products():
         g = universal_grading(ring)
         assert g.grades[0] == 0
+        if not g.cyclic:  # component ids: every product lies in one component
+            for i in range(ring.rank):
+                for j in range(ring.rank):
+                    assert len({g.grades[k] for k in ring.fuse(i, j)}) == 1
+            continue
         for (i, j, k), _ in ring.coeffs.items():
             assert (g.grades[i] + g.grades[j]) % g.order == g.grades[k]
         for i in range(ring.rank):
@@ -425,6 +433,7 @@ def test_grading_components_match_search_oracle():
         + [dihedral_fusion(n) for n in range(3, 42, 2)]
         + [so_n2_fusion(n) for n in range(3, 62, 2)]
         + [_z3_squared()]
+        + small_deligne_products()
     )
     for ring in rings:
         g = universal_grading(ring)
@@ -536,6 +545,23 @@ def test_with_coefficient_matches_constructor_oracle():
         ValueError, "multiplicity must be positive, got N(0, 0, 1)=-2")
     ring = so_n2_fusion(5)
     assert (0, 0, 0) not in ring.with_coefficient(0, 0, 0, 0).coeffs
+    assert ring.n(0, 0, 0) == 1
+
+
+def test_with_coefficient_checks_a_deletion():
+    # Bad indices returned a copy, and 0.0 and False, equal to 0, deleted N_00^0.
+    ring = pointed_cyclic_ring(3)
+    for entry, message in (
+        ((99, 0, 0, 0), "coefficient index out of range: (99, 0, 0)"),
+        ((-1, 0, 0, 0), "coefficient index out of range: (-1, 0, 0)"),
+        ((0.0, 0, 0, 0), "coefficient entries must be integers, got N(0.0, 0, 0)=0"),
+        ((0, 0, 0, 0.0), "coefficient entries must be integers, got N(0, 0, 0)=0.0"),
+        ((0, 0, 0, False), "coefficient entries must be integers, got N(0, 0, 0)=False"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            ring.with_coefficient(*entry)
+        assert str(caught.value) == message
+    assert ring.with_coefficient(0, 0, 0, 0).n(0, 0, 0) == 0
     assert ring.n(0, 0, 0) == 1
 
 

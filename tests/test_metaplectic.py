@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from modcat.cyclic import canonical_invariant, classify
 from modcat.fusion import (
     FusionRing,
+    InvalidFusionRingError,
+    dihedral_fusion,
     fp_dimensions,
     pointed_cyclic_ring,
     verify_fusion_ring,
@@ -19,7 +21,6 @@ from modcat.metaplectic import (
     CondensedObject,
     GroupReconstructionError,
     MetaplecticDescriptor,
-    _z_action,
     condense_z2,
     count_metaplectic,
     enumerate_metaplectic,
@@ -27,7 +28,7 @@ from modcat.metaplectic import (
     reconstruct_group,
     so_n2_fusion,
 )
-from tests.oracles import group_law_by_full_scan, so_n2_by_rules
+from tests.oracles import group_law_by_full_scan, small_deligne_products, so_n2_by_rules
 
 odd_N = st.integers(min_value=1, max_value=49).map(lambda i: 2 * i + 1)
 
@@ -147,9 +148,9 @@ def test_condense_rejects_out_of_range_index():
             condense_z2(ring, z)
 
 
-def test_condense_rejects_non_simple_fusion_by_z():
-    # z squares to 1 but z (x) w is not simple; only reachable on broken
-    # data, so exercise the action check directly.
+def test_condense_refuses_unverified_rings_first():
+    # z squares to 1, yet z (x) w is not simple in the first ring and z acts
+    # as a 3-cycle on {w, v, u} in the second; both fail verification.
     broken = FusionRing(
         rank=3,
         labels=("1", "z", "w"),
@@ -159,13 +160,6 @@ def test_condense_rejects_non_simple_fusion_by_z():
             (2, 0, 2): 1, (1, 1, 0): 1, (1, 2, 1): 1, (1, 2, 2): 1,
         },
     )
-    with pytest.raises(CondensationInputError, match="not invertible"):
-        _z_action(broken, 1)
-
-
-def test_condense_rejects_broken_orbit_structure():
-    # z squares to 1 yet acts as a 3-cycle on {w, v, u}: the distinct
-    # orbit-structure error, again only reachable on broken data.
     cycle = FusionRing(
         rank=5,
         labels=("1", "z", "w", "v", "u"),
@@ -177,8 +171,34 @@ def test_condense_rejects_broken_orbit_structure():
             (1, 2, 3): 1, (1, 3, 4): 1, (1, 4, 2): 1,
         },
     )
-    with pytest.raises(CondensationInputError, match="orbit structure"):
-        _z_action(cycle, 1)
+    for ring in (broken, cycle):
+        with pytest.raises(InvalidFusionRingError, match="fusion axioms violated"):
+            condense_z2(ring, 1)
+
+
+def test_involutions_permute_simples_in_verified_rings():
+    # condense_z2 checks only z (x) z = 1; verification gives the rest.
+    rings = [pointed_cyclic_ring(n) for n in range(1, 41)]
+    rings += [dihedral_fusion(n) for n in range(3, 40, 2)]
+    rings += [so_n2_fusion(n) for n in range(3, 60, 2)]
+    rings += small_deligne_products()
+    condensed = refused = 0
+    for ring in rings:
+        assert verify_fusion_ring(ring).all_passed
+        for z in range(ring.rank):
+            if ring.fuse(z, z) != {0: 1}:
+                continue
+            for i in range(ring.rank):
+                ((j, mult),) = ring.fuse(z, i).items()
+                assert mult == 1 and ring.fuse(z, j) == {i: 1}
+            if z >= 1:
+                try:
+                    condense_z2(ring, z)
+                    condensed += 1
+                except CondensationInputError as exc:
+                    assert str(exc).startswith("universal grading is not cyclic")
+                    refused += 1
+    assert (len(rings), condensed, refused) == (137, 115, 48)
 
 
 def test_condense_flags_odd_dimension_splits():
