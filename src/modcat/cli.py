@@ -300,11 +300,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> CommandResult:
     """Dispatch a command line; never raises on user errors."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         result = args.func(args)
     except ValueError as exc:  # _ArgumentError and every library precondition
         return CommandResult(1, {"error": str(exc)}, f"error: {exc}")

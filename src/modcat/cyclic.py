@@ -263,6 +263,8 @@ def build_cyclic(n: int, k: int) -> CyclicCategory:
 def bilinear(cat: CyclicCategory, x: int, y: int) -> Phase:
     """The symmetric bilinear form b(x, y) = 2 k x y / n (mod 1) attached
     to the twist form."""
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"labels must be integers, got {x!r}, {y!r}")
     if not (0 <= x < cat.n and 0 <= y < cat.n):
         raise ValueError(f"labels must lie in [0, {cat.n}), got {x}, {y}")
     return Phase.of(2 * cat.k * x * y, cat.n)
@@ -467,7 +469,11 @@ def condense_subgroup(
     = (n / gcd(n, 2 k g)) Z_n.
     """
     n, k = cat.n, cat.k
-    h = tuple(sorted(set(x % n for x in subgroup)))
+    elements = list(subgroup)
+    for x in elements:
+        if type(x) is not int:
+            raise ValueError(f"subgroup elements must be integers, got {x!r}")
+    h = tuple(sorted(set(x % n for x in elements)))
     if 0 not in h:
         raise NotASubgroupError("subgroup must contain 0")
     g = gcd(n, *h)

@@ -197,20 +197,6 @@ class ReconstructedGroup:
     data: CondensedData  # identity-sector objects with group_elem filled
 
 
-def _split_pairs(data: CondensedData) -> dict[int, tuple[int, int]]:
-    """Map source index of each fixed simple in D0 to its pair of positions."""
-    pairs: dict[int, list[int]] = {}
-    for pos, obj in enumerate(data.d0):
-        if obj.split is not None:
-            pairs.setdefault(obj.sources[0], []).append(pos)
-    for src, positions in pairs.items():
-        if len(positions) != 2:
-            raise GroupReconstructionError(
-                f"split source index {src} has {len(positions)} children, need 2"
-            )
-    return {src: (p[0], p[1]) for src, p in pairs.items()}
-
-
 def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     """Recover the cyclic group law on the identity sector of a condensed
     SO(N)_2 ring.
@@ -221,11 +207,14 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     fusion rules are then checked: the residue multiset of the children of
     Y_i (x) Y_j must be {+-(i+j), +-(i-j)} mod N.  The row of the
     generator decides every rule, since the chain peels each source from
-    products with it, provided the ring passes verification, z (x) z = 1
-    and z fixes every split source.  condense_z2 output always meets that;
-    other data is refused with GroupReconstructionError before any rule is
-    read.  Inconsistent rules fail with the first witnessing pair of the
-    generator row.
+    products with it.
+
+    Precondition, the shape condense_z2 always gives: D0 is one object
+    sourced from the unit plus both halves of each split source, D1 is not
+    empty, the ring passes verification, and z is an index with
+    z (x) z = 1 that fixes every split source.  Other data is refused with
+    one GroupReconstructionError before any rule is read.  Inconsistent
+    rules fail with the first witnessing pair of the generator row.
 
     Computed once per data; the returned group's own data answers with
     the same group.
@@ -237,56 +226,51 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     """CondensedData._group."""
     ring, z = data.ring, data.z
     order = len(data.d0)
-    unit_positions = [p for p, o in enumerate(data.d0) if 0 in o.sources]
-    if len(unit_positions) != 1 or data.d1 == ():
-        raise GroupReconstructionError(
-            "identity sector does not have the condensed-SO(N)_2 shape"
-        )
-    pairs = _split_pairs(data)
-    if len(pairs) * 2 + 1 != order:
-        raise GroupReconstructionError(
-            "identity sector must be one merged unit plus split pairs"
-        )
+    units: list[int] = []
+    children: dict[int, list[int]] = {}  # split source -> positions of its halves
+    for pos, obj in enumerate(data.d0):
+        if 0 in obj.sources:
+            units.append(pos)
+        if obj.split is not None:
+            children.setdefault(obj.sources[0], []).append(pos)
     if not (
-        ring._report.all_passed and type(z) is int and 0 <= z < ring.rank
-        and ring.fuse(z, z) == {0: 1} and all(ring.fuse(z, s) == {s: 1} for s in pairs)
+        len(units) == 1 and data.d1 != ()
+        and all(len(p) == 2 for p in children.values()) and 2 * len(children) + 1 == order
+        and ring._report.all_passed and type(z) is int and 0 <= z < ring.rank
+        and ring.fuse(z, z) == {0: 1} and all(ring.fuse(z, s) == {s: 1} for s in children)
     ):
-        raise GroupReconstructionError("not condensed data: need a verified ring and an "
-                                       "index z with z (x) z = 1 fixing every split source")
+        raise GroupReconstructionError(
+            "not condensed data: need D0 = one unit object plus both halves of each "
+            "split source, a non-empty D1, a verified ring and an index z with "
+            "z (x) z = 1 fixing every split source"
+        )
 
-    # Chain the split sources by repeated fusion with the first one.
-    sources = sorted(pairs)
-    y_index: dict[int, int] = {}
+    # Chain the split sources by repeated fusion with the first one; the
+    # chain numbers them 1..h, so the residues are Z_order.
+    sources = sorted(children)
+    lifts = {0: [0], z: [0]}  # parent source -> residues of its D0 children
     if sources:
-        first = sources[0]
-        y_index[first] = 1
-        cur = first
+        first = cur = sources[0]
+        lifts[first] = [1, order - 1]
         for step in range(2, len(sources) + 1):
-            comps = [c for c in ring.fuse(first, cur) if c in pairs and c not in y_index]
+            comps = [c for c in ring.fuse(first, cur) if c in children and c not in lifts]
             if len(comps) != 1:
                 raise GroupReconstructionError(
                     f"cannot extend generator chain past step {step}: "
                     f"witness pair ({ring.labels[first]}, {ring.labels[cur]})"
                 )
             cur = comps[0]
-            y_index[cur] = step
+            lifts[cur] = [step, order - step]
+    residue_of_pos = {units[0]: 0}
+    for src, positions in children.items():
+        residue_of_pos.update(zip(positions, lifts[src]))
 
-    # The chain numbers the split sources 1..h, so the residues are Z_order.
-    residue_of_pos: dict[int, int] = {unit_positions[0]: 0}
-    for src, (pos1, pos2) in pairs.items():
-        residue_of_pos[pos1] = y_index[src]
-        residue_of_pos[pos2] = order - y_index[src]
-
-    # Consistency of the lifted fusion rules, row by row.
     def child_residues(source: int) -> list[int]:
-        if source in (0, z):
-            return [0]
-        if source not in pairs:
+        if source not in lifts:
             raise GroupReconstructionError(
                 f"component {ring.labels[source]} is not in the identity sector"
             )
-        p1, p2 = pairs[source]
-        return [residue_of_pos[p1], residue_of_pos[p2]]
+        return lifts[source]
 
     # phi sends 1 and z to [0] and a split source s to [r_s] + [-r_s] in
     # Q[Z_order].  In an associative ring, the x in V0 = span{1, z, split
@@ -297,11 +281,7 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     # source the chain peeled from products with it: that row decides.
     for a in sources[:1]:
         for b in sources:
-            lifted = sorted(
-                (ra + rb) % order
-                for ra in child_residues(a)
-                for rb in child_residues(b)
-            )
+            lifted = sorted((ra + rb) % order for ra in lifts[a] for rb in lifts[b])
             condensed = sorted(
                 r
                 for target, mult in ring.fuse(a, b).items()

@@ -73,6 +73,8 @@ def jacobi(a: int, n: int) -> int:
     Returns 0 iff gcd(a, n) > 1; for odd prime n it is the Legendre
     symbol, i.e. +1 exactly on nonzero quadratic residues.
     """
+    if type(a) is not int or type(n) is not int:
+        raise ValueError(f"Jacobi symbol needs integers a and n, got {a!r}, {n!r}")
     if n <= 0 or n % 2 == 0:
         raise ValueError(f"Jacobi symbol needs odd positive n, got {n}")
     a %= n
@@ -90,10 +92,8 @@ def jacobi(a: int, n: int) -> int:
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p; a must be a QR mod p."""
+    """A square root of a modulo an odd prime p; a must be a nonzero QR mod p."""
     a %= p
-    if a == 0:
-        return 0
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
     q, s = p - 1, 0

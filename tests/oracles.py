@@ -25,7 +25,7 @@ from modcat.cyclic import (
     build_cyclic,
     gauss_sum,
 )
-from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring
+from modcat.fusion import FusionRing, dihedral_fusion, pointed_cyclic_ring, verify_fusion_ring
 from modcat.metaplectic import CondensedData, GroupReconstructionError, so_n2_fusion
 
 
@@ -535,29 +535,41 @@ def grading_components_by_search(ring: FusionRing) -> list[int]:
     return component
 
 
+GROUP_PRECONDITION = (
+    "not condensed data: need D0 = one unit object plus both halves of each "
+    "split source, a non-empty D1, a verified ring and an index z with "
+    "z (x) z = 1 fixing every split source"
+)
+
+
 def group_law_by_full_scan(data: CondensedData) -> tuple[dict[str, int], tuple[int | None, ...]]:
     """reconstruct_group's assignment and the group_elem of each D0 object,
     with the lifted fusion rule checked on every ordered pair of split
-    sources; raises GroupReconstructionError with the same messages."""
+    sources; raises GroupReconstructionError with the same messages.  Each
+    part of the precondition is checked on its own, and each raises the
+    one refusal."""
     ring, z, order = data.ring, data.z, len(data.d0)
+
+    def refuse() -> GroupReconstructionError:
+        return GroupReconstructionError(GROUP_PRECONDITION)
+
     unit_positions = [p for p, o in enumerate(data.d0) if 0 in o.sources]
     if len(unit_positions) != 1 or data.d1 == ():
-        raise GroupReconstructionError(
-            "identity sector does not have the condensed-SO(N)_2 shape"
-        )
+        raise refuse()
     children: dict[int, list[int]] = {}
     for pos, obj in enumerate(data.d0):
         if obj.split is not None:
             children.setdefault(obj.sources[0], []).append(pos)
-    for src, positions in children.items():
-        if len(positions) != 2:
-            raise GroupReconstructionError(
-                f"split source index {src} has {len(positions)} children, need 2"
-            )
+    if any(len(positions) != 2 for positions in children.values()):
+        raise refuse()
     if len(children) * 2 + 1 != order:
-        raise GroupReconstructionError(
-            "identity sector must be one merged unit plus split pairs"
-        )
+        raise refuse()
+    if not verify_fusion_ring(ring).all_passed:
+        raise refuse()
+    if type(z) is not int or not 0 <= z < ring.rank or ring.fuse(z, z) != {0: 1}:
+        raise refuse()
+    if any(ring.fuse(z, s) != {s: 1} for s in children):
+        raise refuse()
     sources = sorted(children)
     step_of: dict[int, int] = {}
     if sources:

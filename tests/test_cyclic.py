@@ -228,6 +228,9 @@ def test_bilinear_examples():
 def test_bilinear_rejects_out_of_range():
     with pytest.raises(ValueError):
         bilinear(build_cyclic(5, 1), 5, 0)
+    for x, y in ((True, 2), (2, 1.0), ("1", 1)):  # (True, 2) once answered 4/9
+        with pytest.raises(ValueError, match="labels must be integers"):
+            bilinear(build_cyclic(9, 1), x, y)
 
 
 @given(n=odd_n, seed=st.integers(min_value=0, max_value=10**6), data=st.data())
@@ -637,6 +640,10 @@ def test_condense_precondition_errors_are_distinct():
     fake = CyclicCategory(n=9, k=1, twists=zeros)
     with pytest.raises(NotIsotropicError):
         condense_subgroup(fake, set(range(9)))
+    # A float or a string once raised a TypeError; True read as 1.
+    for subgroup in ([0, 3.0, 6], ["0"], [0, True]):
+        with pytest.raises(ValueError, match="subgroup elements must be integers"):
+            condense_subgroup(build_cyclic(9, 1), subgroup)
 
 
 def test_condense_rejects_twists_that_do_not_descend():

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 from dataclasses import replace
 
@@ -28,7 +29,12 @@ from modcat.metaplectic import (
     reconstruct_group,
     so_n2_fusion,
 )
-from tests.oracles import group_law_by_full_scan, small_deligne_products, so_n2_by_rules
+from tests.oracles import (
+    GROUP_PRECONDITION,
+    group_law_by_full_scan,
+    small_deligne_products,
+    so_n2_by_rules,
+)
 
 odd_N = st.integers(min_value=1, max_value=49).map(lambda i: 2 * i + 1)
 
@@ -343,10 +349,7 @@ def _z3_with_two_split_sources() -> CondensedData:
     return CondensedData(d0=d0, d1=(obj((1, 2)),), ring=ring, z=0)
 
 
-REFUSAL = (
-    "not condensed data: need a verified ring and an index z with z (x) z = 1 "
-    "fixing every split source"
-)
+REFUSAL = GROUP_PRECONDITION
 
 
 def test_generator_row_matches_full_scan_on_hand_built_data():
@@ -357,17 +360,73 @@ def test_generator_row_matches_full_scan_on_hand_built_data():
     swapped = replace(base, d0=tuple(d0))
     # Y1 (x) Y2 = Y1 + Y3 with the Y3 pair left out: the generator row fails.
     short = replace(base, d0=tuple(o for o in base.d0 if o.sources != (6,)))
-    # Every case meets the generator row's precondition.
+    # SO(15)_2 keeping only the Y3 and Y5 pairs: Y3 (x) Y3 = 1 + Z + Y6
+    # reaches no other split source, so the chain stops.
+    wide = condense_z2(so_n2_fusion(15), 1)
+    gapped = replace(wide, d0=tuple(o for o in wide.d0 if o.sources[0] in (0, 6, 8)))
+    # Every case but the pointed Z_2 meets the generator row's precondition.
     cases = [base, swapped, short, replace(base, z=0), replace(base, z=1)]
-    cases += [condense_z2(pointed_cyclic_ring(2), 1), _z3_with_two_split_sources()]
+    cases += [condense_z2(pointed_cyclic_ring(2), 1), _z3_with_two_split_sources(), gapped]
     outcomes = [_group_outcome(data) for data in cases]
     assert outcomes == [_oracle_outcome(data) for data in cases]
     assert outcomes[1] != outcomes[0] and isinstance(outcomes[1], tuple)
     assert outcomes[2] == "component Y3 is not in the identity sector"
     assert outcomes[4] == outcomes[0]
+    assert outcomes[5] == REFUSAL
     assert outcomes[6] == "group law inconsistent: witness pair ([1], [1])"
+    assert outcomes[7] == "cannot extend generator chain past step 2: witness pair (Y3, Y3)"
     errors = [o for o in outcomes if isinstance(o, str)]
-    assert len(set(errors)) == 4, errors
+    assert len(set(errors)) == 5, errors
+
+
+def _mutated(rng: random.Random, data: CondensedData, corrupted) -> CondensedData:
+    """data with one random edit: an object dropped, duplicated or moved to
+    the other sector, every object of one parent source moved to the other
+    sector, D0 shuffled, z set anywhere in -1..rank, or the ring swapped for
+    corrupted when their ranks agree."""
+    d0, d1 = list(data.d0), list(data.d1)
+    kind = rng.randrange(7)
+    if kind < 3 and d0 + d1:
+        side, other = (d0, d1) if d0 and (not d1 or rng.random() < 0.5) else (d1, d0)
+        obj = side.pop(rng.randrange(len(side)))
+        targets = [side, side] if kind == 1 else [other] if kind == 2 else []
+        for target in targets:  # dropped, duplicated or moved across
+            target.insert(rng.randrange(len(target) + 1), obj)
+    elif kind == 3 and d0 + d1:
+        source = rng.choice([o.sources[0] for o in d0 + d1])
+        from0 = [o for o in d0 if o.sources[0] == source]
+        from1 = [o for o in d1 if o.sources[0] == source]
+        d0, d1 = from1 + [o for o in d0 if o not in from0], from0 + [o for o in d1 if o not in from1]
+    elif kind == 4:
+        rng.shuffle(d0)
+    elif kind == 5:
+        return replace(data, z=rng.randrange(-1, data.ring.rank + 1))
+    elif kind == 6 and corrupted.rank == data.ring.rank:
+        return replace(data, ring=corrupted)
+    return replace(data, d0=tuple(d0), d1=tuple(d1))
+
+
+def test_generator_row_matches_full_scan_on_mutated_data():
+    # condense_z2 outputs of SO(N)_2 (N <= 15) and of the small pointed and
+    # dihedral rings it accepts, each edited one to three times.
+    bases = [condense_z2(so_n2_fusion(n), 1) for n in range(3, 16, 2)]
+    bases += [condense_z2(pointed_cyclic_ring(n), n // 2) for n in (2, 4, 6, 8)]
+    bases += [condense_z2(dihedral_fusion(n), 1) for n in (3, 5, 7, 9)]
+    corrupted = so_n2_fusion(7).with_coefficient(4, 5, 6, 0)
+    rng = random.Random(25)
+    kinds: dict[str, int] = {}
+    for _ in range(500):
+        data = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            data = _mutated(rng, data, corrupted)
+        outcome = _group_outcome(data)
+        assert outcome == _oracle_outcome(data), data
+        kind = "accepted" if isinstance(outcome, tuple) else outcome.split()[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # Each outcome kind shows up: accepted, "not condensed data", "cannot
+    # extend generator chain" and "component ... not in the identity sector".
+    assert sorted(kinds) == ["accepted", "cannot", "component", "not"], kinds
+    assert min(kinds.values()) >= 15, kinds
 
 
 def test_reconstruct_refuses_data_condense_z2_cannot_make():
@@ -389,11 +448,17 @@ def test_reconstruct_refuses_data_condense_z2_cannot_make():
         ring=pointed_cyclic_ring(4),
         z=2,
     )
-    for data in unverified + not_an_index + not_an_involution + [moves]:
+    # Y1 (index 4) missing a half; X1+X2 in D0 with the Y3 pair in D1.
+    half = replace(base, d0=tuple(o for o in base.d0 if (o.sources, o.split) != ((4,), 2)))
+    x_orbit, y3_pair = base.d1, tuple(o for o in base.d0 if o.sources == (6,))
+    swapped = replace(base, d0=tuple(o for o in base.d0 if o not in y3_pair) + x_orbit, d1=y3_pair)
+    shapes = [half, swapped]
+    for data in unverified + not_an_index + not_an_involution + [moves] + shapes:
         assert _group_outcome(data) == REFUSAL, data.z
         report = is_tambara_yamagami(data)  # never raises
-        assert not report.is_ty and report.reason == REFUSAL
-        assert report.group_order is None
+        assert not report.is_ty and report.group_order is None
+        if len(data.d1) == 1:  # else TY stops at the size of D1 first
+            assert report.reason == REFUSAL
 
 
 # --------------------------------------------------------- Tambara-Yamagami

@@ -73,6 +73,23 @@ def test_jacobi_rejects_even_or_nonpositive():
         jacobi(3, -5)
 
 
+def test_jacobi_refuses_non_integers():
+    # (2.5|7) once answered 0, (3|5.0) -1 and (2|True) 1.
+    for a, n in ((2.5, 7), (3, 5.0), (2, True), (True, 5), ("3", 5), (3, 7.5)):
+        with pytest.raises(ValueError, match="integer"):
+            jacobi(a, n)
+
+
+def test_is_prime_rejects_small_numbers_and_strong_pseudoprimes():
+    # Every factor here exceeds 37, so trial division passes them all to
+    # Miller-Rabin: 252601 = 41 * 61 * 101 is a Carmichael number, and
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3,
+    # 5 and 7.
+    for n in (-7, 0, 1, 1763, 252601, 3215031751):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1)
+
+
 def test_jacobi_matches_quadratic_residues():
     for p in ODD_PRIMES:
         residues = quadratic_residues(p)
