@@ -8,7 +8,10 @@ they check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import cos, gcd, pi
+from operator import attrgetter
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -162,25 +165,43 @@ def modular_relations_by_residuals(residuals: tuple[float, float]) -> bool:
 
 
 def modular_relation_residuals_by_matmul(
-    *cats: CyclicCategory,
+    cats: Sequence[CyclicCategory],
 ) -> list[tuple[float, float]]:
     """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I from
-    dense n x n matrix products, for categories sharing n and k, theta_j
-    from the stored residue over its denominator.  S (smatrix_complex,
-    equal to smatrix_complex_by_entries bit for bit), S^2 and S^4 - I do
-    not depend on the twists, so they are formed once for all of cats."""
-    n, k = cats[0].n, cats[0].k
-    assert all((c.n, c.k) == (n, k) for c in cats)
-    s = smatrix_complex(cats[0])
-    s2 = s @ s
-    err2 = float(np.abs(s2 @ s2 - np.eye(n)).max())
-    anomaly_s2 = gauss_sum_by_sum(n, k) / np.sqrt(n) * s2
+    dense n x n matrix products, for categories sharing n, theta_j from the
+    stored residue over its denominator.
+
+    F_ij = w^{-ij} is the dense DFT of Z_n, formed once and read off a
+    table of the n distinct phases as smatrix_complex reads it.  For each
+    run of categories sharing k, S = F P / sqrt(n), with P the 0/1 matrix
+    taking column j from column p_j = 2 k j mod n of F; so S equals
+    smatrix_complex bit for bit.  F is symmetric, so also S = P^T F /
+    sqrt(n): S^2 = P^T F^2 P / n and S^4 = P^T F^2 C F^2 P / n^2, where C =
+    P P^T is the diagonal of the counts c_m = #{j : p_j = m}.  F^2 and F^2
+    C F^2 are products formed once per call and once per c, read at rows
+    and columns p; (S T)^3 takes two products per category."""
+    n = cats[0].n
+    assert all(c.n == n for c in cats)
+    idx = np.arange(n)
+    f = np.exp(2j * np.pi * idx / n)[-np.outer(idx, idx) % n]
+    f2 = f @ f
+    quartics: dict[bytes, np.ndarray] = {}
     residuals = []
-    for cat in cats:
-        d = cat.denominator
-        theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
-        st = s * theta[None, :]
-        residuals.append((float(np.abs(st @ st @ st - anomaly_s2).max()), err2))
+    for k, run in groupby(cats, key=attrgetter("k")):
+        p = 2 * k * idx % n
+        counts = np.bincount(p, minlength=n)
+        key = counts.tobytes()
+        if key not in quartics:
+            quartics[key] = (f2 * counts) @ f2
+        s4 = quartics[key].take(p, 0).take(p, 1) / n**2
+        err2 = float(np.abs(s4 - np.eye(n)).max())
+        s = f.take(p, 1) / np.sqrt(n)
+        anomaly_s2 = gauss_sum_by_sum(n, k) / np.sqrt(n) * f2.take(p, 0).take(p, 1) / n
+        for cat in run:
+            d = cat.denominator
+            theta = np.exp(2j * np.pi * np.array([r / d for r in cat.residues]))
+            st = s * theta[None, :]
+            residuals.append((float(np.abs(st @ st @ st - anomaly_s2).max()), err2))
     return residuals
 
 

@@ -373,6 +373,23 @@ def test_balancing_verdict_and_witness_match_all_pairs_oracle(n, seed, data):
     assert report.witness == witness
 
 
+def test_balancing_witness_matches_oracle_on_single_label_corruptions():
+    """Deterministic sweep at sizes past the property test: one twist moved
+    by 1/n or 1/(2n) at label 0 (row 0 fails at (0, 0)), 1, n - 1 (row 1
+    fails at j = 0, through s_{j-1} read at index -1) and one seeded label.
+    Every input fails within two rows, so the all-pairs oracle stops early."""
+    rng = random.Random(26)
+    for n in (63, 64, 101, 300, 301, 1001):
+        k = coprime_pair(n, rng.randrange(10**6))
+        for label in (0, 1, n - 1, rng.randrange(n)):
+            for shift in (Fraction(1, n), Fraction(1, 2 * n)):
+                cat = _twists_with(n, k, {label: shift})
+                report = verify_balancing(cat)
+                witness = balancing_witness(cat)
+                assert witness is not None and witness[0] <= 1, (n, k, label, shift)
+                assert (report.passed, report.witness) == (False, witness), (n, k, label, shift)
+
+
 # --------------------------------------------------------------- Gauss sums
 
 
@@ -729,12 +746,15 @@ def test_smatrix_matches_entrywise_oracle(n, data):
 
 
 def test_smatrix_matches_entrywise_oracle_at_mirror_bounds():
-    """Fixed cases around the (n - 1)//2 mirror bound: even and odd n, k = 0
-    included."""
+    """Fixed cases around the (n - 1)//2 mirror bound and the n//2 bound of
+    the tiled phase list: even and odd n, k = 0 included.  Every entry is
+    one of at most n shared Phase objects, whichever branch built its row."""
     for n in (*range(1, 7), 299, 300, 301):
         for k in {0, 1, 2, n - 1}:
             cat = _twists_with(n, k, {})
-            assert smatrix(cat) == smatrix_by_entries(cat), (n, k)
+            s = smatrix(cat)
+            assert s == smatrix_by_entries(cat), (n, k)
+            assert len({id(entry) for row in s for entry in row}) <= n, (n, k)
 
 
 # --------------------------------------------------------- modular relation
@@ -769,8 +789,8 @@ def test_modular_residuals_match_phase_oracle_bit_for_bit():
 
 
 def test_modular_residuals_match_matmul_oracle():
-    """The FFT residuals agree with four dense matrix products to
-    1e-12 max(1, |oracle|), with the same numeric verdicts, and
+    """The FFT residuals agree with dense matrix products (one dense DFT
+    per n, its columns permuted by k) to 1e-12 max(1, |oracle|), with the same numeric verdicts, and
     verify_modular_relations gives that verdict, for odd n < 120 and every
     k in [0, n), non-units included, and for (997, 5) and (1001, 2); each
     category as built and with one twist moved by 1/n, 1/(2n) or 1/7."""
@@ -779,19 +799,20 @@ def test_modular_residuals_match_matmul_oracle():
     for n, ks in cases.items():
         table = [Phase.of(r, n) for r in range(n)]
         shifts = (Phase.of(1, n), Phase.of(1, 2 * n), Phase.of(1, 7))
+        cats = []
         for k in ks:
             twists = [table[k * j * j % n] for j in range(n)]
             moved = twists[:]
             moved[k % n] += shifts[k % 3]
-            cats = (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved)))
-            for c, want in zip(cats, modular_relation_residuals_by_matmul(*cats)):
-                got = modular_relation_residuals(c)
-                for a, b in zip(got, want):
-                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, k, got, want)
-                verdict = modular_relations_by_residuals(want)
-                assert modular_relations_by_residuals(got) is verdict
-                assert verify_modular_relations(c) is verdict, (n, k)
-                verdicts.add(verdict)
+            cats += (CyclicCategory(n, k, tuple(twists)), CyclicCategory(n, k, tuple(moved)))
+        for c, want in zip(cats, modular_relation_residuals_by_matmul(cats), strict=True):
+            got = modular_relation_residuals(c)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (n, c.k, got, want)
+            verdict = modular_relations_by_residuals(want)
+            assert modular_relations_by_residuals(got) is verdict
+            assert verify_modular_relations(c) is verdict, (n, c.k)
+            verdicts.add(verdict)
     assert verdicts == {True, False}
 
 

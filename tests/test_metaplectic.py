@@ -83,9 +83,18 @@ def test_all_objects_self_dual():
     assert so_n2_fusion(9).dual == tuple(range(so_n2_fusion(9).rank))
 
 
-def test_so_n2_matches_rule_by_rule_oracle():
-    for n in [*range(3, 200, 2), 293, 401]:
-        assert so_n2_fusion(n) == so_n2_by_rules(n), n
+@pytest.fixture(scope="module")
+def so_n2_below_200() -> dict[int, FusionRing]:
+    """SO(N)_2 for every odd 3 <= N < 200, built once for this module.  The
+    so_n2_fusion cache keeps only 8 rings, so without this each test using
+    the range would build them again; condensing one verifies it in place."""
+    return {n: so_n2_fusion(n) for n in range(3, 200, 2)}
+
+
+def test_so_n2_matches_rule_by_rule_oracle(so_n2_below_200):
+    rings = so_n2_below_200 | {n: so_n2_fusion(n) for n in (293, 401)}
+    for n, ring in rings.items():
+        assert ring == so_n2_by_rules(n), n
 
 
 def test_so_n2_rejects_bad_n():
@@ -329,9 +338,9 @@ def _oracle_outcome(data: CondensedData):
         return str(exc)
 
 
-def test_generator_row_matches_full_scan_on_so_n2():
-    for n in range(3, 200, 2):
-        data = condense_z2(so_n2_fusion(n), 1)
+def test_generator_row_matches_full_scan_on_so_n2(so_n2_below_200):
+    for n, ring in so_n2_below_200.items():
+        data = condense_z2(ring, 1)
         assert _group_outcome(data) == _oracle_outcome(data)
 
 
