@@ -7,11 +7,12 @@ Labels are display metadata only; all semantics are by index.  A ring is
 immutable and keeps its sparse rules, the fuse index, its axiom report,
 its FP dimensions and its universal grading, each computed once.  Every
 check runs in exact Python integers over the sparse rules, with no dense
-tensor and no numpy: the dual law compares the coefficient map with
-reindexed copies of it, the other axioms compare ints of one table of
-products packed into ints (see verify_fusion_ring for the cost), and FP
-dimensions come from a float power iteration that is then certified
-exactly for weakly integral rings.
+tensor and no numpy: the axioms compare ints of one table of products
+packed into ints, a passing ring's dual law costs O(rank^2) plus the
+generator rows, and a failing ring's dual witness comes from comparing
+the coefficient map with reindexed copies of it (see verify_fusion_ring
+for the cost).  FP dimensions come from a float power iteration that is
+then certified exactly for weakly integral rings.
 """
 
 from __future__ import annotations
@@ -217,22 +218,24 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
 
     Axiom families: unit law, dual/Frobenius law, commutativity, and
     associativity over all index quadruples.  Computed once per ring, in
-    exact integers.  The dual law is one comparison of the coefficient map
-    with itself reindexed, N_ij^k against N_{i* k}^j, O(nnz); a ring that
-    fails it, unit or commutativity makes at most two more, and the witness
-    is the least key at which a pair differs, O(nnz) again.  The other
-    axioms read one table of rank^2 packed ints (_packed_products): entry
-    (i, j) holds N_ij^k in digit k of w bits, at most rank w bits, so the
-    table takes at most rank^3 w bits.  Unit and commutativity compare
-    entries with a power of two or with one other entry, O(rank^2) int
-    operations.  Associativity checks rows: row i costs sum_j |i (x) j|
-    additions of rank packed ints plus sum_(j, k) |j (x) k| multiply-adds.
-    Only a generating set of rows is checked, three for SO(N)_2; when the
-    unit law fails, 0 is not known to pass and joins the set.  When a
+    exact integers.  The axioms read one table of rank^2 packed ints
+    (_packed_products): entry (i, j) holds N_ij^k in digit k of w bits, at
+    most rank w bits, so the table takes at most rank^3 w bits.  Unit and
+    commutativity compare entries with a power of two or with one other
+    entry, O(rank^2) int operations.  Associativity checks rows: row i
+    costs sum_j |i (x) j| additions of rank packed ints plus sum_(j, k)
+    |j (x) k| multiply-adds, about half of those on a commutative ring,
+    whose scan computes the right side of each pair {j, k} once.  Only a
+    generating set of rows is checked, three for SO(N)_2; when the unit
+    law fails, 0 is not known to pass and joins the set.  When a
     generator fails, rows are scanned in order for the first witness.  A
-    ring whose products never peel has every index as a generator.  The
-    library takes any size; join_cost bounds the full scan, and callers
-    that take rings from outside should budget by it.
+    ring whose products never peel has every index as a generator.  On a
+    ring that passes the other three axioms, the dual law costs O(rank^2)
+    plus sum_y |g (x) y| terms over the generators g; any other ring, and
+    one that fails it, compares the coefficient map with reindexed copies
+    of it, O(nnz) each, and the witness is the least key at which a pair
+    differs.  The library takes any size; join_cost bounds the full scan,
+    and callers that take rings from outside should budget by it.
     """
     return ring._report
 
@@ -243,7 +246,9 @@ def join_cost(ring: FusionRing) -> int:
     rows the scan adds rank packed ints per term of each i (x) j, multiplies
     one per term of each j (x) k and compares rank^3 pairs; a packed int
     spans at most rank digits, so wide multiplicities cost in proportion.
-    Builds the fuse index, rank^2 dicts, so bound the rank first."""
+    It stays an upper bound when a commutative ring's scan computes each
+    pair's right side once.  Builds the fuse index, rank^2 dicts, so bound
+    the rank first."""
     rank = ring.rank
     return (rank**3 + 2 * rank * len(ring.coeffs)) * (1 + _digit_width(ring) // 64)
 
@@ -254,10 +259,14 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     Unit and commutativity compare ints of the packed table with ints
     packed the same way, entry by entry in row-major (i, j) order, so the
     first differing entry and its lowest differing digit give the witness
-    (i, j, k).  The dual law compares the coefficient map with reindexed
-    copies of it, and its witness is the least key at which they differ.
+    (i, j, k).  Associativity never reads the dual, so it is decided
+    first.  On a ring that passes unit, commutativity and associativity,
+    _dual_is_automorphism decides the dual law in O(rank^2) plus the
+    generator rows; any other ring, and one that fails it, compares the
+    coefficient map with reindexed copies of it (_dual_witness), and its
+    witness is the least key at which they differ.
     """
-    r, dual = ring.rank, ring.dual
+    r = ring.rank
     table, w = packed = _packed_products(ring)
 
     def first(entries) -> tuple[int, int, int] | None:
@@ -272,22 +281,98 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
             ((i, 0, row[0], 1 << w * i) for i, row in enumerate(table)),
         )
     )
-    checks = [AxiomCheck("unit", unit is None, unit)]
 
     # A pair (i, j) that differs from (j, i) is met first with i < j.
     commutativity = first(
         (i, j, row[j], table[j][i]) for i, row in enumerate(table) for j in range(i + 1, r)
     )
 
-    # The dual law in three parts, each "the coefficient map equals this
-    # reindexed copy of it": N_ij^0 = delta_{j, i*}, then N_ij^k = N_{i* k}^j,
-    # then N_ij^k = N_{k j*}^i.  A copy is built from the entries: N_ac^b
-    # lands at (i, b, c) with i* = a, so at i = inverse[a], since dual need
-    # not be an involution in a ring that fails a law.  The second part
-    # and the unit law give the first, N_ij^0 = N_{i* 0}^j, and the second and
-    # commutativity give the third, N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i;
-    # so the others run only to find the row-major witness of a failing ring.
-    coeffs, items = ring.coeffs, ring.coeffs.items()
+    # The x with (x y) z = x (y z) for all y, z form a subspace closed
+    # under products, so the rows of a generating set decide the axiom;
+    # the row-major first witness needs the rows in order.  The packed
+    # table lives for this call only.
+    gens = ring._unit_generators if unit is None else _generators(ring, set())
+    commutative = commutativity is None
+    associativity = None
+    if any(_row_witness(ring, g, packed, commutative) for g in gens):
+        associativity = next(
+            filter(None, (_row_witness(ring, i, packed, commutative) for i in range(r)))
+        )
+
+    dual = None
+    if unit or commutativity or associativity or not _dual_is_automorphism(ring, packed):
+        dual = _dual_witness(ring, unit, commutativity)
+
+    return FusionReport(
+        (
+            AxiomCheck("unit", unit is None, unit),
+            AxiomCheck("dual", dual is None, dual),
+            AxiomCheck("commutativity", commutative, commutativity),
+            AxiomCheck("associativity", associativity is None, associativity),
+        )
+    )
+
+
+def _dual_is_automorphism(ring: FusionRing, packed: tuple[list[list[int]], int]) -> bool:
+    """The dual law, for a ring that passes unit, commutativity and
+    associativity; packed is _packed_products(ring).
+
+    Two checks: (a) digit 0 of each table[i][j] is 1 if j = i* and 0
+    otherwise, rank^2 int operations; (b) for each generator g over the
+    unit and every y, x_g x_y with each digit l moved to l* equals
+    x_g* x_y*, sum_y |g (x) y| terms.
+
+    Why they decide the law.  By (a), the unit law and commutativity,
+    N_{i* i}^0 = 1, so i** = i: * is an involution, and N_ij^k =
+    c(i, j, k*) with c(a, b, c) = (x_a x_b x_c)_0, symmetric in its
+    arguments.  (b) says x -> x* is multiplicative on the generator rows;
+    the x on which it is multiplicative form a subspace that holds the
+    unit and is closed under products, so it holds every index
+    (_generators), * is a ring automorphism, c is *-invariant, and
+    N_{i* k}^j = c(i*, k, j*) = c(i, j, k*) = N_ij^k.  With the unit law
+    and commutativity, that gives the other two parts of the law.
+    Conversely, the law is (a) at k = 0 and gives (b) through N_ab^c =
+    N_{b* a*}^{c*}.  (b) is not redundant: the rank-3 ring with dual
+    (0, 2, 1), x1^2 = x2, x1 x2 = 1 + x1 and x2^2 = x1 + x2 passes the
+    other axioms and (a), and fails the law.
+    """
+    table, w = packed
+    dual, rows = ring.dual, ring._rows
+    digit, zero = (1 << w) - 1, [0] * ring.rank
+    for d, row in zip(dual, table):
+        expected = zero.copy()
+        expected[d] = 1
+        if list(map(digit.__and__, row)) != expected:
+            return False
+    shift = [w * d for d in dual]
+    for g in ring._unit_generators:
+        image = table[dual[g]]
+        for y, gy in enumerate(rows[g]):
+            moved = 0
+            for l, a in gy.items():
+                moved += a << shift[l]
+            if moved != image[dual[y]]:
+                return False
+    return True
+
+
+def _dual_witness(
+    ring: FusionRing, unit: tuple | None, commutativity: tuple | None
+) -> tuple[int, int, int] | None:
+    """The row-major first witness of the dual law, None if it holds;
+    unit and commutativity are the witnesses of those checks.
+
+    The law in three parts, each "the coefficient map equals this
+    reindexed copy of it": N_ij^0 = delta_{j, i*}, then N_ij^k = N_{i* k}^j,
+    then N_ij^k = N_{k j*}^i.  A copy is built from the entries: N_ac^b
+    lands at (i, b, c) with i* = a, so at i = inverse[a], since dual need
+    not be an involution in a ring that fails a law.  The second part and
+    the unit law give the first, N_ij^0 = N_{i* 0}^j, and the second and
+    commutativity give the third, N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i;
+    so the others run only to find the witness of a failing ring.  Each
+    comparison is O(nnz).
+    """
+    coeffs, items, dual = ring.coeffs, ring.coeffs.items(), ring.dual
     inverse = {d: i for i, d in enumerate(dual)}
     witness = second = _first_difference(coeffs, {(inverse[a], b, c): m for (a, c, b), m in items})
     if unit or commutativity or second:
@@ -300,20 +385,7 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
                 and _first_difference(coeffs, {(c, inverse[b], a): m for (a, b, c), m in items})
             )
         )
-    checks.append(AxiomCheck("dual", witness is None, witness))
-    checks.append(AxiomCheck("commutativity", commutativity is None, commutativity))
-
-    # The x with (x y) z = x (y z) for all y, z form a subspace closed
-    # under products, so the rows of a generating set decide the axiom;
-    # the row-major first witness needs the rows in order.  The packed
-    # table lives for this call only.
-    gens = ring._unit_generators if unit is None else _generators(ring, set())
-    witness = None
-    if any(_row_witness(ring, g, packed) for g in gens):
-        witness = next(filter(None, (_row_witness(ring, i, packed) for i in range(r))))
-    checks.append(AxiomCheck("associativity", witness is None, witness))
-
-    return FusionReport(tuple(checks))
+    return witness
 
 
 def _low_digit(a: int, b: int, width: int) -> int:
@@ -400,7 +472,7 @@ def _combine(vectors, coefficients: dict[int, int], zero: list[int]):
 
 
 def _row_witness(
-    ring: FusionRing, i: int, packed: tuple[list[list[int]], int]
+    ring: FusionRing, i: int, packed: tuple[list[list[int]], int], commutative: bool
 ) -> tuple[int, int, int, int] | None:
     """First (i, j, k, l), row-major, with sum_m N_ij^m N_mk^l != sum_m
     N_jk^m N_im^l: the coefficient of l in (x_i x_j) x_k and x_i (x_j x_k).
@@ -408,17 +480,27 @@ def _row_witness(
     packed is _packed_products(ring), so each side is one int per (j, k):
     sum_m N_ij^m P[m][k], taken for all k at once, and sum_m N_jk^m P[i][m].
     The lowest set bit of their XOR lies in the digit of the first
-    differing l.
+    differing l.  commutative says the ring passed commutativity: then
+    the right side at (j, k) equals the one at (k, j), so row j computes
+    it for k >= j only and reads k < j from the rows before it, which
+    passed and so equal their left sides.
     """
     table, width = packed
     rows, p_i, zero = ring._rows, table[i], [0] * ring.rank
+    passed: list[list[int]] = []  # the rows before j, when commutative
     for j, ij in enumerate(rows[i]):
-        for k, (lhs, jk) in enumerate(zip(_combine(table, ij, zero), rows[j])):
-            rhs = 0
+        lhs = _combine(table, ij, zero)
+        rhs = [row[j] for row in passed]
+        for jk in rows[j][len(rhs) :]:
+            total = 0
             for m, a in jk.items():
-                rhs += a * p_i[m]
-            if lhs != rhs:
-                return (i, j, k, _low_digit(lhs, rhs, width))
+                total += a * p_i[m]
+            rhs.append(total)
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return (i, j, k, _low_digit(lhs[k], rhs[k], width))
+        if commutative:
+            passed.append(lhs)
     return None
 
 

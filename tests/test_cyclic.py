@@ -748,13 +748,22 @@ def test_smatrix_matches_entrywise_oracle(n, data):
 def test_smatrix_matches_entrywise_oracle_at_mirror_bounds():
     """Fixed cases around the (n - 1)//2 mirror bound and the n//2 bound of
     the tiled phase list: even and odd n, k = 0 included.  Every entry is
-    one of at most n shared Phase objects, whichever branch built its row."""
+    one of at most n shared Phase objects, whichever branch built its row,
+    and entry (i, j) is the phase r/n with r = -2kij mod n, compared as
+    ints: each shared object's reduced numerator and denominator give its
+    r once, and the rows of r are compared with the formula."""
     for n in (*range(1, 7), 299, 300, 301):
         for k in {0, 1, 2, n - 1}:
-            cat = _twists_with(n, k, {})
-            s = smatrix(cat)
-            assert s == smatrix_by_entries(cat), (n, k)
-            assert len({id(entry) for row in s for entry in row}) <= n, (n, k)
+            s = smatrix(_twists_with(n, k, {}))
+            residue = {}
+            for entry in {id(entry): entry for row in s for entry in row}.values():
+                f = entry.frac
+                assert type(entry) is Phase and 0 <= f.numerator < f.denominator, (n, k)
+                assert n % f.denominator == 0, (n, k, entry)
+                residue[id(entry)] = f.numerator * (n // f.denominator)
+            assert len(residue) <= n, (n, k)
+            expected = [[-2 * k * i * j % n for j in range(n)] for i in range(n)]
+            assert [[residue[id(entry)] for entry in row] for row in s] == expected, (n, k)
 
 
 # --------------------------------------------------------- modular relation
