@@ -3,7 +3,9 @@
 Exit codes: 0 success (including negative answers such as "inequivalent"),
 1 invalid input (argument parsing or precondition violations), 2 a
 requested verification failed.  JSON output is canonically sorted and
-byte-stable for identical inputs.
+byte-stable for identical inputs.  A command computes its answer once and
+renders only the requested format; every check runs before rendering, so
+the exit status never depends on --format.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import cyclic, fusion, metaplectic
@@ -24,6 +28,9 @@ MAX_FACTOR_N = 10**12  # trial division by odd p <= sqrt(n): about 0.3 s at the 
 
 @dataclass(frozen=True)
 class CommandResult:
+    """The outcome of one command line.  `table` is the printed text: the
+    table, the JSON, or the error message."""
+
     status: int
     payload: object  # JSON-serializable
     table: str
@@ -42,11 +49,19 @@ def _dumps(payload: object) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _parse_subgroup(text: str) -> list[int]:
+def _int(text: str) -> int:
+    """A decimal integer in ASCII digits, as Phase.parse reads them: no
+    sign but '-', no spaces, underscores or other scripts' digits."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise _ArgumentError(f"bad subgroup element list {text!r}") from exc
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _subgroup(text: str) -> list[int]:
+    return [_int(part) for part in text.split(",") if part != ""]
 
 
 def _limit(what: str, value: int, name: str, limit: int) -> int:
@@ -60,33 +75,39 @@ def _so2_ring(n: int) -> fusion.FusionRing:
     return metaplectic.so_n2_fusion(n)
 
 
-def _cmd_cyclic_build(args) -> CommandResult:
-    cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
-    payload = cat.to_json_dict()
-    lines = [f"C({cat.n},{cat.k}): modular, rank {cat.n}"]
-    lines += [f"  theta[{j}] = {t}" for j, t in enumerate(payload["twists"])]
-    return CommandResult(0, payload, "\n".join(lines))
+# A handler makes every check and computes its payload, then yields (exit
+# status, JSON payload), then the lines of its table.  Nothing after the
+# payload can refuse, so `run` reads on only for a table.
 
 
-def _cmd_cyclic_classify(args) -> CommandResult:
+def _cmd_cyclic_build(args) -> Iterator:
+    n = _limit("n", args.n, "MAX_N", MAX_N)
+    # Keep no category: at MAX_N its residues (23 MB) would share the peak of _dumps.
+    payload = cyclic.build_cyclic(n, args.k).to_json_dict()
+    yield 0, payload
+    yield f"C({payload['n']},{payload['k']}): modular, rank {payload['n']}"
+    for j, t in enumerate(payload["twists"]):
+        yield f"  theta[{j}] = {t}"
+
+
+def _cmd_cyclic_classify(args) -> Iterator:
     reps = cyclic.classify(_limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N))
     classes = [
         {"k": k, **cyclic.canonical_invariant(args.n, k).to_json_dict()} for k in reps
     ]
-    payload = {"n": args.n, "count": len(reps), "classes": classes}
-    lines = [f"{len(reps)} classes of cyclic modular categories on Z_{args.n}"]
+    yield 0, {"n": args.n, "count": len(reps), "classes": classes}
+    yield f"{len(reps)} classes of cyclic modular categories on Z_{args.n}"
     for entry in classes:
         signs = ", ".join(f"({f['pp']},{f['sign']:+d})" for f in entry["factors"])
-        lines.append(f"  k = {entry['k']}  signs: [{signs}]")
-    return CommandResult(0, payload, "\n".join(lines))
+        yield f"  k = {entry['k']}  signs: [{signs}]"
 
 
-def _cmd_cyclic_equiv(args) -> CommandResult:
+def _cmd_cyclic_equiv(args) -> Iterator:
     _limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
     desc1 = cyclic.canonical_invariant(args.n, args.k1)
     desc2 = cyclic.canonical_invariant(args.n, args.k2)
     equivalent = desc1 == desc2  # the complete invariant, as in are_equivalent
-    payload = {
+    yield 0, {
         "n": args.n,
         "k1": args.k1,
         "k2": args.k2,
@@ -95,160 +116,134 @@ def _cmd_cyclic_equiv(args) -> CommandResult:
         "descriptor2": desc2.to_json_dict(),
     }
     verdict = "equivalent" if equivalent else "inequivalent"
-    signs1 = ", ".join(f"{s:+d}" for _, s in desc1.factors)
-    signs2 = ", ".join(f"{s:+d}" for _, s in desc2.factors)
-    table = (
-        f"C({args.n},{args.k1}) and C({args.n},{args.k2}) are {verdict}\n"
-        f"  signs of k1: ({signs1})\n  signs of k2: ({signs2})"
+    yield f"C({args.n},{args.k1}) and C({args.n},{args.k2}) are {verdict}"
+    for name, desc in (("k1", desc1), ("k2", desc2)):
+        yield f"  signs of {name}: ({', '.join(f'{s:+d}' for _, s in desc.factors)})"
+
+
+def _cmd_cyclic_autos(args) -> Iterator:
+    autos = cyclic.braided_autos(_limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N), args.k)
+    yield 0, {"n": args.n, "k": args.k, "autos": autos}
+    yield f"twist-preserving automorphisms of C({args.n},{args.k}): " + ", ".join(
+        map(str, autos)
     )
-    return CommandResult(0, payload, table)
 
 
-def _cmd_cyclic_autos(args) -> CommandResult:
-    n = _limit("n", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
-    autos = cyclic.braided_autos(n, args.k)
-    payload = {"n": args.n, "k": args.k, "autos": autos}
-    table = f"twist-preserving automorphisms of C({args.n},{args.k}): " + ", ".join(
-        str(u) for u in autos
-    )
-    return CommandResult(0, payload, table)
-
-
-def _cmd_cyclic_bosons(args) -> CommandResult:
+def _cmd_cyclic_bosons(args) -> Iterator:
     cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     bosons = cyclic.find_bosons(cat)
-    payload = {"n": args.n, "k": cat.k, "bosons": bosons}
-    table = f"bosons of C({args.n},{cat.k}): " + ", ".join(str(b) for b in bosons)
-    return CommandResult(0, payload, table)
+    yield 0, {"n": args.n, "k": cat.k, "bosons": bosons}
+    yield f"bosons of C({args.n},{cat.k}): " + ", ".join(map(str, bosons))
 
 
-def _cmd_cyclic_decompose(args) -> CommandResult:
+def _cmd_cyclic_decompose(args) -> Iterator:
     parts = cyclic.decompose(_limit("n", args.n, "MAX_N", MAX_N), args.k)
-    payload = {
+    yield 0, {
         "n": args.n,
         "k": args.k % args.n,
         "factors": [p.to_json_dict() for p in parts],
     }
-    table = f"C({args.n},{args.k}) = " + " x ".join(f"C({p.n},{p.k})" for p in parts)
-    return CommandResult(0, payload, table)
+    yield f"C({args.n},{args.k}) = " + " x ".join(f"C({p.n},{p.k})" for p in parts)
 
 
-def _cmd_cyclic_condense(args) -> CommandResult:
+def _cmd_cyclic_condense(args) -> Iterator:
     cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
-    outcome = cyclic.condense_subgroup(cat, _parse_subgroup(args.subgroup))
-    payload = {"n": args.n, "k": cat.k, **outcome.to_json_dict()}
-    lines = [
-        f"condensed C({args.n},{cat.k}) at H = {{{', '.join(map(str, outcome.subgroup))}}}",
-        f"  |H-perp| = {len(outcome.perp)}",
-        f"  quotient: C({outcome.quotient.n},{outcome.quotient.k})"
-        + ("  [Lagrangian: trivial quotient]" if outcome.lagrangian else ""),
-    ]
-    return CommandResult(0, payload, "\n".join(lines))
+    outcome = cyclic.condense_subgroup(cat, args.subgroup)
+    yield 0, {"n": args.n, "k": cat.k, **outcome.to_json_dict()}
+    yield f"condensed C({args.n},{cat.k}) at H = {{{', '.join(map(str, outcome.subgroup))}}}"
+    yield f"  |H-perp| = {len(outcome.perp)}"
+    yield f"  quotient: C({outcome.quotient.n},{outcome.quotient.k})" + (
+        "  [Lagrangian: trivial quotient]" if outcome.lagrangian else ""
+    )
 
 
-def _cmd_cyclic_double(args) -> CommandResult:
+def _cmd_cyclic_double(args) -> Iterator:
     cat = cyclic.build_cyclic(_limit("n", args.n, "MAX_N", MAX_N), args.k)
     witness = cyclic.find_lagrangian_subgroup(cat)
-    payload = {
+    yield 0, {
         "n": args.n,
         "k": cat.k,
         "quantum_double": witness is not None,
         "lagrangian_subgroup": list(witness) if witness is not None else None,
     }
     if witness is None:
-        table = f"C({args.n},{cat.k}) is not a quantum double (no Lagrangian subgroup)"
+        yield f"C({args.n},{cat.k}) is not a quantum double (no Lagrangian subgroup)"
     else:
-        table = (
+        yield (
             f"C({args.n},{cat.k}) is a quantum double; Lagrangian subgroup "
             f"{{{', '.join(map(str, witness))}}}"
         )
-    return CommandResult(0, payload, table)
 
 
-def _cmd_so2_fusion(args) -> CommandResult:
+def _cmd_so2_fusion(args) -> Iterator:
     ring = _so2_ring(args.n)
-    lines = [f"SO({args.n})_2 fusion ring, rank {ring.rank}"]
+    yield 0, ring.to_json_dict()
+    yield f"SO({args.n})_2 fusion ring, rank {ring.rank}"
     for i in range(1, ring.rank):
         for j in range(i, ring.rank):
             terms = []
             for k, m in sorted(ring.fuse(i, j).items()):
                 terms.append(f"{m} {ring.labels[k]}" if m > 1 else ring.labels[k])
-            lines.append(f"  {ring.labels[i]} x {ring.labels[j]} = {' + '.join(terms)}")
-    return CommandResult(0, ring.to_json_dict(), "\n".join(lines))
+            yield f"  {ring.labels[i]} x {ring.labels[j]} = {' + '.join(terms)}"
 
 
-def _cmd_so2_verify(args) -> CommandResult:
+def _cmd_so2_verify(args) -> Iterator:
+    yield from _verified(f"SO({args.n})_2", _so2_ring(args.n), {"N": args.n})
+
+
+def _cmd_so2_condense(args) -> Iterator:
     ring = _so2_ring(args.n)
-    report = fusion.verify_fusion_ring(ring)
-    payload = {"N": args.n, **report.to_json_dict()}
-    table = _render_report(f"SO({args.n})_2", report)
-    return CommandResult(0 if report.all_passed else 2, payload, table)
-
-
-def _cmd_so2_condense(args) -> CommandResult:
-    ring = _so2_ring(args.n)
-    data = metaplectic.condense_z2(ring, 1)
-    group = metaplectic.reconstruct_group(data)
-    ty = metaplectic.is_tambara_yamagami(group.data)
-    payload = group.data.to_json_dict()
-    lines = [f"condensed SO({args.n})_2 by Z:"]
-    lines.append("  identity sector:")
+    group = metaplectic.reconstruct_group(metaplectic.condense_z2(ring, 1))
+    ty = "yes" if metaplectic.is_tambara_yamagami(group.data).is_ty else "no"
+    yield 0, group.data.to_json_dict()
+    yield f"condensed SO({args.n})_2 by Z:"
+    yield "  identity sector:"
     for obj in group.data.d0:
-        lines.append(f"    {obj.name}  dim {obj.dim:g}  group element {obj.group_elem}")
-    lines.append("  non-trivial sector:")
+        yield f"    {obj.name}  dim {obj.dim:g}  group element {obj.group_elem}"
+    yield "  non-trivial sector:"
     for obj in group.data.d1:
-        lines.append(f"    {obj.name}  dim {obj.dim:.6f}")
-    lines.append(
-        f"  Tambara-Yamagami: {'yes' if ty.is_ty else 'no'}; "
-        f"group Z_{group.order} (cyclic)"
-    )
-    return CommandResult(0, payload, "\n".join(lines))
+        yield f"    {obj.name}  dim {obj.dim:.6f}"
+    yield f"  Tambara-Yamagami: {ty}; group Z_{group.order} (cyclic)"
 
 
-def _cmd_meta_count(args) -> CommandResult:
-    n = _limit("N", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
-    count = metaplectic.count_metaplectic(n)
-    payload = {"N": args.n, "count": count}
-    table = f"{count} inequivalent metaplectic modular categories for N = {args.n}"
-    return CommandResult(0, payload, table)
+def _cmd_meta_count(args) -> Iterator:
+    count = metaplectic.count_metaplectic(_limit("N", args.n, "MAX_FACTOR_N", MAX_FACTOR_N))
+    yield 0, {"N": args.n, "count": count}
+    yield f"{count} inequivalent metaplectic modular categories for N = {args.n}"
 
 
-def _cmd_meta_enumerate(args) -> CommandResult:
+def _cmd_meta_enumerate(args) -> Iterator:
     n = _limit("N", args.n, "MAX_FACTOR_N", MAX_FACTOR_N)
     descriptors = metaplectic.enumerate_metaplectic(n)
-    payload = {
+    yield 0, {
         "N": args.n,
         "count": len(descriptors),
         "descriptors": [d.to_json_dict() for d in descriptors],
     }
-    lines = [f"{len(descriptors)} metaplectic classes for N = {args.n}"]
+    yield f"{len(descriptors)} metaplectic classes for N = {args.n}"
     for d in descriptors:
         signs = ", ".join(f"eps_{p} = {e:+d}" for p, e in d.signs)
-        lines.append(f"  {signs}; gauging bit {d.h3}")
-    return CommandResult(0, payload, "\n".join(lines))
+        yield f"  {signs}; gauging bit {d.h3}"
 
 
-def _cmd_ring_verify(args) -> CommandResult:
+def _cmd_ring_verify(args) -> Iterator:
     try:
         with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        ring = fusion.FusionRing.from_json_dict(data)
+            ring = fusion.FusionRing.from_json_dict(json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
         raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
     _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)  # join_cost builds rank^2 dicts
     _limit("join cost", fusion.join_cost(ring), "MAX_JOIN", MAX_JOIN)
+    yield from _verified(args.file, ring, {})
+
+
+def _verified(name: str, ring: fusion.FusionRing, extra: dict) -> Iterator:
     report = fusion.verify_fusion_ring(ring)
-    payload = report.to_json_dict()
-    table = _render_report(args.file, report)
-    return CommandResult(0 if report.all_passed else 2, payload, table)
-
-
-def _render_report(name: str, report: fusion.FusionReport) -> str:
-    lines = [f"fusion axioms for {name}:"]
+    yield 0 if report.all_passed else 2, {**extra, **report.to_json_dict()}
+    yield f"fusion axioms for {name}:"
     for check in report.checks:
         status = "pass" if check.passed else f"FAIL at {check.witness}"
-        lines.append(f"  {check.name:<14} {status}")
-    return "\n".join(lines)
+        yield f"  {check.name:<14} {status}"
 
 
 # group -> (help, {command: (handler, integer positionals, --options)})
@@ -261,7 +256,9 @@ _COMMANDS = {
         "bosons": (_cmd_cyclic_bosons, "n k", {}),
         "decompose": (_cmd_cyclic_decompose, "n k", {}),
         "condense": (_cmd_cyclic_condense, "n k", {
-            "subgroup": dict(required=True, help="comma-separated subgroup elements"),
+            "subgroup": dict(
+                required=True, type=_subgroup, help="comma-separated subgroup elements"
+            ),
         }),
         "double": (_cmd_cyclic_double, "n k", {}),
     }),
@@ -293,7 +290,7 @@ def _build_parser() -> _Parser:
         for name, (func, positionals, options) in commands.items():
             sub = subs.add_parser(name, parents=[common])
             for arg in positionals.split():
-                sub.add_argument(arg, type=int)
+                sub.add_argument(arg, type=_int)
             for arg, kwargs in options.items():
                 sub.add_argument(f"--{arg}", **kwargs)
             sub.set_defaults(func=func)
@@ -307,15 +304,15 @@ def run(argv: list[str]) -> CommandResult:
     """Dispatch a command line; never raises on user errors."""
     try:
         args = _PARSER.parse_args(argv)
-        result = args.func(args)
+        output = args.func(args)
+        status, payload = next(output)
     except ValueError as exc:  # _ArgumentError and every library precondition
         return CommandResult(1, {"error": str(exc)}, f"error: {exc}")
     except SystemExit as exc:  # argparse -h and friends
         code = exc.code if isinstance(exc.code, int) else 0
         return CommandResult(code, None, "")
-    if args.format == "json":
-        return CommandResult(result.status, result.payload, _dumps(result.payload))
-    return result
+    table = _dumps(payload) if args.format == "json" else "\n".join(output)
+    return CommandResult(status, payload, table)
 
 
 def main() -> None:

@@ -48,7 +48,9 @@ def test_unknown_command_exits_one():
 
 
 def test_bad_integer_exits_one():
-    assert run(["cyclic", "build", "five", "1"]).status == 1
+    result = run(["cyclic", "build", "five", "1"])
+    assert result.status == 1
+    assert result.table == "error: argument n: invalid int value: 'five'"
 
 
 def test_missing_subgroup_flag_exits_one():
@@ -250,6 +252,35 @@ def test_cli_error_goes_to_stderr():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "degenerate form" in proc.stderr
+
+
+def test_json_build_at_max_n_peaks_below_180_mb():
+    """`cyclic build 999999 2 --format json` renders only its JSON, so the
+    whole process peaks at about 120 MB; building the unused 31 MB table
+    too took it to 230 MB.  The child reads VmHWM from its own status
+    file: ru_maxrss would start from the parent's high-water mark."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    script = """
+import os, sys
+from modcat import cli
+sys.argv = ["modcat", "cyclic", "build", "999999", "2", "--format", "json"]
+sys.stdout = open(os.devnull, "w")
+try:
+    cli.main()
+except SystemExit as exc:
+    status = exc.code
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(status, peak_kb, file=sys.__stdout__)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, peak_kb = map(int, proc.stdout.split())
+    assert status == 0
+    assert peak_kb / 1024 < 180
 
 
 def test_closed_pipe_exits_quietly():
@@ -600,6 +631,26 @@ INTEGER_COMMANDS = {
 }
 SMALL = st.integers(-50, 2000)
 HUGE = 10**30
+# int() reads the underscore, space, '+' and non-ASCII forms; the CLI takes
+# only ASCII digits after an optional '-'.
+LOOSE_INTEGERS = ["1_001", " 7 ", "7 ", "+7", "- 7", "-", "\u0667", "\uff17", "7.0", "0x7", "1e3"]
+
+
+@pytest.mark.parametrize("text", LOOSE_INTEGERS)
+def test_loose_integer_arguments_exit_one(text):
+    result = run(["cyclic", "build", text, "1", "--format", "json"])
+    assert result.status == 1
+    assert result.payload == {"error": f"argument n: invalid int value: {text!r}"}
+    result = run(["cyclic", "condense", "9", "1", "--subgroup", f"0,{text},6"])
+    assert result.status == 1
+    assert result.table == f"error: argument --subgroup: invalid int value: {text!r}"
+
+
+def test_strict_integers_admit_signs_zeros_and_long_digits():
+    assert run(["cyclic", "equiv", "15", "-1", "007"]).payload["equivalent"] is False
+    assert payload_of(["cyclic", "condense", "9", "-8", "--subgroup", "0,-3,003,"])["lagrangian"]
+    digits = "9" * 5000  # past the interpreter's int-string limit where it has one
+    assert run(["cyclic", "classify", digits]).status == 1
 
 
 @given(data=st.data(), command=st.sampled_from(sorted(INTEGER_COMMANDS)))
