@@ -12,7 +12,10 @@ FILE gets `pairs` and `summary`: per workload, the number of pairs, the
 failed operations of each side, whether every run was correct, and for
 each end-to-end metric each side's median and quartiles
 (perfbench/benchstats) and the number of pairs the change won, ties
-counting for neither side.  If FILE exists, its other keys and its pairs
+counting for neither side; also the relative change of the medians,
+(after - before) / before, signed so that positive means better
+(`median_change`, null when the parent's median is 0), and the metric's
+`bound` from BENCHMARK.json.  If FILE exists, its other keys and its pairs
 of other workloads or seeds are kept.  FILE is rewritten after every
 pair, so an interrupted run keeps the pairs it finished, and each
 finished pair prints one line with every end-to-end metric, before -> after.
@@ -78,6 +81,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             stats["after_better_pairs"] = sum(
                 sign * (after - before) > 0
                 for before, after in zip(values["before"], values["after"]))
+            before_median = stats["before_median"]
+            stats["median_change"] = (
+                sign * (stats["after_median"] - before_median) / before_median
+                if before_median else None)
+            stats["bound"] = metric["bound"]
             entry[name] = stats
         summary[workload] = entry
     return summary

@@ -3,13 +3,17 @@ data, Gauss sums, equivalence classification, CRT decomposition, twist
 automorphisms, bosons, subgroup condensation, and quantum-double detection.
 
 A category stores its twists as integer residues over one common
-denominator (n for built categories); `Phase` objects are made only where
-the API hands twists out.  All decisions, the modular relations
-included, run in exact integer arithmetic; floats appear only in the
-Gauss sum, which is read off its closed form (the Jacobi symbol and
-sqrt(n)), and in `modular_relation_residuals`, the numeric display of
-the modular relations.  numpy is imported inside that one array
-function, so the exact path never loads it.
+denominator (n for built categories); `Phase` objects and JSON twist
+strings are made only where the API hands twists out, one per distinct
+residue.  All decisions, the modular relations included, run in exact
+integer arithmetic; floats appear only in the Gauss sum, which is read
+off its closed form (the Jacobi symbol and sqrt(n)), and in
+`modular_relation_residuals`, the numeric display of the modular
+relations.  That display takes one row of (S T)^3 per orbit of the
+braided automorphisms u^2 = 1 that fix the stored twists (the
+particle-hole map j -> -j among them), a group found by comparing
+integer residues.  numpy is imported inside that one array function, so
+the exact path never loads it.
 """
 
 from __future__ import annotations
@@ -106,14 +110,20 @@ class Phase:
         return Phase, (self.frac,)
 
 
+def _shared(residues: Sequence[int], make) -> Iterable:
+    """make(r) for each residue r in order, made once per distinct value:
+    by theta_j = theta_{n-j} a built C(n, k) holds at most (n + 1) / 2
+    distinct twists."""
+    made = dict.fromkeys(residues)
+    for r in made:
+        made[r] = make(r)
+    return map(made.__getitem__, residues)
+
+
 def phases(denominator: int, residues: Sequence[int]) -> tuple[Phase, ...]:
     """The phases r / denominator (mod 1) of the given integer residues.
-    Labels with equal residues share one Phase: by theta_j = theta_{n-j} a
-    built C(n, k) holds at most (n + 1) / 2 distinct twists."""
-    shared = dict.fromkeys(residues)
-    for r in shared:
-        shared[r] = Phase.of(r, denominator)
-    return tuple(map(shared.__getitem__, residues))
+    Labels with equal residues share one Phase."""
+    return tuple(_shared(residues, lambda r: Phase.of(r, denominator)))
 
 
 @dataclass(frozen=True, init=False)
@@ -167,12 +177,14 @@ class CyclicCategory:
         return Phase.of(self.residues[j % self.n], self.denominator)
 
     def to_json_dict(self) -> dict:
+        """Labels with equal residues share one "a/b" twist string."""
         d = self.denominator
-        twists = []
-        for r in self.residues:
+
+        def text(r: int) -> str:
             g = gcd(r, d)
-            twists.append(f"{r // g}/{d // g}")
-        return {"n": self.n, "k": self.k, "twists": twists}
+            return f"{r // g}/{d // g}"
+
+        return {"n": self.n, "k": self.k, "twists": list(_shared(self.residues, text))}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CyclicCategory":
@@ -418,25 +430,27 @@ def decompose(n: int, k: int) -> list[CyclicCategory]:
     return parts
 
 
-def braided_autos(n: int, k: int) -> list[int]:
-    """Group automorphisms of Z_n preserving the twists: units u with
-    u^2 = 1 (mod n), ascending.  Always contains the particle-hole map
-    u = n - 1.
-
-    Modulo an odd prime power the only square roots of 1 are +1 and -1, so
-    the 2^s roots modulo n are the CRT combinations of those signs.
-    """
-    _require_odd(n)
-    _require_unit(n, k)
-    if n == 1:
-        return [0]
-    roots, m = [1], 1  # the square roots of 1 modulo m
+def _square_roots_of_one(n: int) -> list[int]:
+    """The 2^s square roots of 1 modulo odd n >= 1, ascending; [0] for
+    n = 1, where 1 = 0.  Modulo an odd prime power the only square roots
+    of 1 are +1 and -1, so the roots modulo n are the CRT combinations of
+    those signs."""
+    roots, m = [1 % n], 1  # the square roots of 1 modulo m
     for p, e in factorize(n):
         pp = p**e
         inv = pow(m, -1, pp)
         roots = [a + m * ((b - a) * inv % pp) for a in roots for b in (1, -1)]
         m *= pp
     return sorted(roots)
+
+
+def braided_autos(n: int, k: int) -> list[int]:
+    """Group automorphisms of Z_n preserving the twists: units u with
+    u^2 = 1 (mod n), ascending.  Always contains the particle-hole map
+    u = n - 1."""
+    _require_odd(n)
+    _require_unit(n, k)
+    return _square_roots_of_one(n)
 
 
 def find_bosons(cat: CyclicCategory) -> list[int]:
@@ -576,7 +590,8 @@ def verify_modular_relations(cat: CyclicCategory) -> bool:
 
 
 def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
-    """Max entrywise errors of (S T)^3 - (G / sqrt(n)) S^2 and S^4 - I.
+    """Max errors of (S T)^3 - (G / sqrt(n)) S^2 over one row per orbit
+    of the twist-fixing braided automorphisms, and of S^4 - I.
 
     No S-matrix is formed.  With w = e^{2 pi i / n}, S_ij = w^{-2kij} /
     sqrt(n) is a permuted DFT: S x = fft(x)[p] / sqrt(n), p_i = 2 k i mod
@@ -586,33 +601,69 @@ def modular_relation_residuals(cat: CyclicCategory) -> tuple[float, float]:
     (h[(i + m) % n] theta_m)_m, scaled by theta_l: a row-wise FFT, taken
     in blocks of max(1, 2^13 // n) rows.  S^4 = (S^2)^2 is circulant with
     first row c_d = sum_u g_u g_{(u + d) % n}, a correlation taken by FFT.
-    Time O(n^2 log n); memory O(n) plus one block of about 2^13 complex
-    entries.  Even n raises UnsupportedModulusError before any block.
+
+    The rows taken are the least label of each orbit of Z_n under the
+    group of square roots u of 1 that fix the stored twists, s[u j mod
+    n] == s[j] for every j, compared as integers, so the group is exact.
+    For such u, S_{ui,ul} = S_il, h[ua] = h[a] and g[ua] = g[a], for any
+    k: entry (ui, ul) equals entry (i, l) in exact arithmetic, and the
+    rows of one orbit hold the same entries in another order.  So the
+    first residual is the entrywise maximum up to round-off, and at most
+    it.  A built C(n, k) is fixed by all 2^s roots, leaving (n + 1) / 2
+    rows for prime n and 168 at n = 1001; a twist vector no u != 1 fixes
+    keeps all n.  Time O(r n log n) for r orbits; memory O(n) plus one
+    block of about 2^13 complex entries.  Even n raises
+    UnsupportedModulusError before any root or FFT work.
     """
+    n = cat.n
+    _require_odd(n)
     d = cat.denominator  # int / int rounds correctly, as float(Fraction) does
-    return _modular_residuals(cat.n, cat.k, [r / d for r in cat.residues])
+    fracs = [r / d for r in cat.residues]
+    return _modular_residuals(n, cat.k, fracs, _orbit_rows(cat))
 
 
-def _modular_residuals(n: int, k: int, fracs: Sequence[float]) -> tuple[float, float]:
-    """modular_relation_residuals for the twists theta_j = e^{2 pi i fracs[j]}."""
+def _orbit_rows(cat: CyclicCategory) -> "np.ndarray":
+    """The least label of each orbit of Z_n under the square roots u of 1
+    with s[u j mod n] == s[j] for every j, s the residues, ascending."""
+    import numpy as np
+
+    n = cat.n
+    # Residues lie in [0, denominator); past int64 they stay Python ints,
+    # as numpy would turn a mix of small and 64-bit ints into floats.
+    exact = np.int64 if cat.denominator <= 2**63 else object
+    s, labels = np.array(cat.residues, dtype=exact), np.arange(n)
+    least = labels.copy()
+    for u in _square_roots_of_one(n):
+        moved = u * labels % n
+        if (s[moved] == s).all():
+            np.minimum(least, moved, out=least)
+    return np.flatnonzero(least == labels)
+
+
+def _modular_residuals(
+    n: int, k: int, fracs: Sequence[float], rows: "np.ndarray"
+) -> tuple[float, float]:
+    """modular_relation_residuals for the twists theta_j = e^{2 pi i
+    fracs[j]}, the first residual over the given rows."""
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     def hankel(v: np.ndarray) -> np.ndarray:  # a view: entry (i, l) is v[(i + l) % n]
         return sliding_window_view(np.concatenate((v, v[:-1])), n)
 
-    anomaly = gauss_sum(n, k) / np.sqrt(n)  # refuses even n before any n x n work
+    anomaly = gauss_sum(n, k) / np.sqrt(n)
     theta = np.exp(2j * np.pi * np.array(fracs))
     perm = (2 * k % n) * np.arange(n) % n  # S x = fft(x)[perm] / sqrt(n)
     h = np.fft.fft(theta)[perm] / n  # S T S = hankel(h)
     g = np.fft.fft(np.ones(n))[perm] / n  # S^2 = hankel(g)
     sts, s2, scale = hankel(h), hankel(anomaly * g), theta / np.sqrt(n)
     err1, step = 0.0, max(1, 2**13 // n)  # rows per block: about 2^13 entries
-    for a in range(0, n, step):
-        rows = np.take(np.fft.fft(sts[a : a + step] * theta, axis=1), perm, axis=1)
-        rows *= scale
-        rows -= s2[a : a + step]
-        err1 = max(err1, float(np.abs(rows).max()))
+    for a in range(0, len(rows), step):
+        block = rows[a : a + step]
+        out = np.take(np.fft.fft(sts[block] * theta, axis=1), perm, axis=1)
+        out *= scale
+        out -= s2[block]
+        err1 = max(err1, float(np.abs(out).max()))
     f = np.fft.fft(g)
     s4 = np.fft.ifft(f * f[-np.arange(n) % n])  # first row of the circulant S^4
     s4[0] -= 1

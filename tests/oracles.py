@@ -205,10 +205,23 @@ def modular_relation_residuals_by_matmul(
     return residuals
 
 
-def modular_residuals_unblocked(cat: CyclicCategory) -> tuple[float, float]:
-    """modular_relation_residuals with every row of (S T)^3 - (G / sqrt(n))
-    S^2 held at once: one row-wise FFT of the whole n x n array, two such
-    arrays live at the peak."""
+def fixing_roots_by_search(cat: CyclicCategory) -> list[int]:
+    """The square roots u of 1 modulo n, by search, with residues[u j mod
+    n] == residues[j] at every label j, ascending."""
+    n, s = cat.n, cat.residues
+    return [u for u in braided_autos_by_search(n) if all(s[u * j % n] == s[j] for j in range(n))]
+
+
+def orbit_rows_by_search(n: int, group: Sequence[int]) -> list[int]:
+    """The least label of each orbit of Z_n under multiplication by the
+    elements of a group of units, ascending."""
+    return [j for j in range(n) if all(u * j % n >= j for u in group)]
+
+
+def modular_error_matrix(cat: CyclicCategory) -> np.ndarray:
+    """|(S T)^3 - (G / sqrt(n)) S^2| entrywise, every row at once: one
+    row-wise FFT of the whole n x n array, two such arrays live at the
+    peak."""
     n, k, d = cat.n, cat.k, cat.denominator
 
     def hankel(v: np.ndarray) -> np.ndarray:  # a view: entry (i, l) is v[(i + l) % n]
@@ -223,7 +236,16 @@ def modular_residuals_unblocked(cat: CyclicCategory) -> tuple[float, float]:
     del rows
     st3 *= theta / np.sqrt(n)
     st3 -= hankel(gauss_sum(n, k) / np.sqrt(n) * g)
-    err1 = float(np.abs(st3).max())
+    return np.abs(st3)
+
+
+def modular_residuals_unblocked(cat: CyclicCategory) -> tuple[float, float]:
+    """modular_relation_residuals from modular_error_matrix, its maximum
+    taken over the orbit rows of the twist-fixing roots found by search."""
+    n, k = cat.n, cat.k
+    rows = orbit_rows_by_search(n, fixing_roots_by_search(cat))
+    err1 = float(modular_error_matrix(cat)[rows].max())
+    g = np.fft.fft(np.ones(n))[(2 * k % n) * np.arange(n) % n] / n
     f = np.fft.fft(g)
     s4 = np.fft.ifft(f * f[-np.arange(n) % n])
     s4[0] -= 1
@@ -232,8 +254,10 @@ def modular_residuals_unblocked(cat: CyclicCategory) -> tuple[float, float]:
 
 def modular_relation_residuals_by_phases(cat: CyclicCategory) -> tuple[float, float]:
     """modular_relation_residuals with each theta_j taken from
-    float(cat.twists[j].frac), the Phase of the twist."""
-    return _modular_residuals(cat.n, cat.k, [float(t.frac) for t in cat.twists])
+    float(cat.twists[j].frac), the Phase of the twist, over the orbit rows
+    of the twist-fixing roots found by search."""
+    rows = np.array(orbit_rows_by_search(cat.n, fixing_roots_by_search(cat)))
+    return _modular_residuals(cat.n, cat.k, [float(t.frac) for t in cat.twists], rows)
 
 
 def perp_by_search(cat: CyclicCategory, h: list[int]) -> list[int]:

@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from modcat.cyclic import (
     NotIsotropicError,
     Phase,
     UnsupportedModulusError,
+    _orbit_rows,
     are_equivalent,
     bilinear,
     braided_autos,
@@ -46,13 +48,16 @@ from tests.oracles import (
     braided_autos_by_search,
     condense_by_search,
     equivalent_by_unit_search,
+    fixing_roots_by_search,
     gauss_sum_by_sum,
     is_nondegenerate,
     lagrangian_subgroup_by_search,
+    modular_error_matrix,
     modular_relation_residuals_by_matmul,
     modular_relation_residuals_by_phases,
     modular_relations_by_residuals,
     modular_residuals_unblocked,
+    orbit_rows_by_search,
     residues_by_labels,
     smatrix_by_entries,
     smatrix_complex,
@@ -865,15 +870,72 @@ def test_modular_relations_match_numeric_verdict_on_families():
 
 
 def test_modular_residuals_blocks_match_whole_matrix_bit_for_bit():
-    """Taking (S T)^3 - (G / sqrt(n)) S^2 in row blocks changes no bit of
-    the residuals: for odd n < 200 with k in {0, 1, 2, n - 1}, and for n in
-    {997, 1001, 1025, 2047} (eight to four rows per block) with k = 2,
-    each category as built and with one twist moved by 1/(2n)."""
+    """Taking (S T)^3 - (G / sqrt(n)) S^2 in row blocks, on one row per
+    orbit, changes no bit of the residuals: the first equals the maximum
+    of the whole error matrix over the orbit rows of the twist-fixing
+    roots found by search, for odd n < 200 with k in {0, 1, 2, n - 1}, and
+    for n in {997, 1001, 1025, 2047} (eight to four rows per block) with
+    k = 2, each category as built and with one twist moved by 1/(2n)."""
     cases = [(n, k) for n in range(1, 200, 2) for k in {0, 1, 2 % n, n - 1}]
     cases += [(n, 2) for n in (997, 1001, 1025, 2047)]
     for n, k in cases:
         for c in (_twists_with(n, k, {}), _twists_with(n, k, {k % n: Fraction(1, 2 * n)})):
             assert modular_relation_residuals(c) == modular_residuals_unblocked(c), (n, k)
+
+
+def _orbit_cases():
+    """Odd n < 130 with k in {0, 1, 2, n - 1}, and n in {245, 329, 437,
+    1001} with k = 2; each category as built and with the twist of label
+    0, which every root fixes, moved by 1/(2n)."""
+    cases = [(n, k) for n in range(1, 130, 2) for k in {0, 1, 2 % n, n - 1}]
+    cases += [(n, 2) for n in (245, 329, 437, 1001)]
+    for n, k in cases:
+        yield from (_twists_with(n, k, {}), _twists_with(n, k, {0: Fraction(1, 2 * n)}))
+
+
+def test_orbit_rows_hold_equal_entries():
+    """Under a root u that fixes the twists, entry (u i, u l) of (S T)^3 -
+    (G / sqrt(n)) S^2 equals entry (i, l) up to round-off, so the maximum
+    over the orbit rows lies within 1e-13 of the whole maximum."""
+    for c in _orbit_cases():
+        n = c.n
+        err = modular_error_matrix(c)
+        labels = np.arange(n)
+        for u in fixing_roots_by_search(c):
+            moved = u * labels % n
+            assert np.abs(err[np.ix_(moved, moved)] - err).max() <= 1e-13, (n, c.k, u)
+        assert err.max() - modular_relation_residuals(c)[0] <= 1e-13, (n, c.k)
+
+
+def test_twist_fixing_roots_choose_the_rows():
+    """A built category is fixed by all 2^s roots; at n = 105 moving the
+    twists of 1 and -1 together leaves {1, -1}, and moving the twist of 1
+    alone leaves {1}, every row taken, with the first residual the whole
+    matrix maximum bit for bit.  Residues are compared as integers, also
+    past 2^63, where numpy would compare a mix of ints as floats."""
+    for n in range(1, 300, 2):
+        for k in {1, 2 % n, n - 1}:
+            cat = build_cyclic(n, k)
+            group = braided_autos(n, k)
+            assert fixing_roots_by_search(cat) == group, (n, k)
+            assert _orbit_rows(cat).tolist() == orbit_rows_by_search(n, group)
+    for n, orbits in ((101, 51), (437, 120), (763, 220), (1001, 168)):
+        assert len(_orbit_rows(build_cyclic(n, 2))) == orbits
+    move = Fraction(1, 210)
+    pair, one = _twists_with(105, 2, {1: move, 104: move}), _twists_with(105, 2, {1: move})
+    assert fixing_roots_by_search(pair) == [1, 104]
+    assert _orbit_rows(pair).tolist() == orbit_rows_by_search(105, [1, 104])
+    assert len(orbit_rows_by_search(105, [1, 104])) == 53
+    assert fixing_roots_by_search(one) == [1]
+    assert _orbit_rows(one).tolist() == list(range(105))
+    assert modular_relation_residuals(one)[0] == float(modular_error_matrix(one).max())
+    # Residues 3 * 2^62 - 3 and - 6 over 3 * 2^62 are equal as floats only.
+    wide = CyclicCategory(3, 1, [Phase.of(0), Phase.of(2**62 - 1, 2**62),
+                                 Phase.of(2**62 - 2, 2**62)])
+    assert 2**63 < wide.denominator < 2**64 and fixing_roots_by_search(wide) == [1]
+    assert _orbit_rows(wide).tolist() == [0, 1, 2]
+    huge = CyclicCategory(3, 1, [Phase.of(0), Phase.of(1, 2**70), Phase.of(1, 2**70)])
+    assert _orbit_rows(huge).tolist() == [0, 1]
 
 
 def _traced_peak(call) -> int:
@@ -956,13 +1018,16 @@ def test_residue_form_matches_phase_twists():
 
 
 def test_twists_share_one_phase_per_distinct_residue():
-    """A built category hands out one Phase per distinct residue: (n + 1) / 2
-    for prime n, far fewer for n with square factors."""
+    """A built category hands out one Phase, and one JSON twist string, per
+    distinct residue: (n + 1) / 2 for prime n, far fewer for n with square
+    factors."""
     for n, distinct in ((99991, 49996), (99225, 7502), (45, 12), (1, 1)):
         cat = build_cyclic(n, 2)
         assert len(set(cat.residues)) == distinct
         assert len(set(map(id, cat.twists))) == distinct
         assert cat.twists[1 % n] is cat.twists[-1]  # theta_1 = theta_{n-1}
+        texts = cat.to_json_dict()["twists"]
+        assert len(texts) == n and len(set(map(id, texts))) == distinct
 
 
 def test_twists_traced_peak_under_14mb_at_n_99991():

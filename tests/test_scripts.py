@@ -58,8 +58,8 @@ def test_bench_pairs_summary_from_canned_lines():
               "after": line(a, ra)} for s, (b, a, rb, ra) in enumerate(runs, 1)]
     pairs.append({"workload": "v", "seed": 1, "first": "after",
                   "before": line(5, 9), "after": line(4, 9, failed=2)})
-    end_to_end = [{"name": "ops_per_s", "better": "higher"},
-                  {"name": "peak_rss_mb", "better": "lower"}]
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]
     summary = bench.summarize(pairs, end_to_end)
 
     assert list(summary) == ["w", "v"]
@@ -74,6 +74,30 @@ def test_bench_pairs_summary_from_canned_lines():
     v = summary["v"]
     assert (v["failed"], v["correct"]) == ({"before": 0, "after": 2}, False)
     assert v["ops_per_s"]["after_better_pairs"] == 0
+
+
+def test_bench_pairs_summary_gives_median_change_and_bound():
+    """median_change is the relative change of the medians, positive when
+    the change is better, and bound is copied from the metric; canned
+    lines, no benchmark runs."""
+    bench = load_script("bench_pairs")
+
+    def line(ops: float, p50: float) -> dict:
+        metrics = {"ops_per_s": {"value": ops}, "latency_p50_ms": {"value": p50}}
+        return {"correct": True, "failed": 0, "metrics": metrics}
+
+    runs = [(100, 125, 10, 8), (90, 120, 12, 9), (110, 130, 8, 8)]
+    pairs = [{"workload": "w", "seed": s, "first": "before", "before": line(b, pb),
+              "after": line(a, pa)} for s, (b, a, pb, pa) in enumerate(runs, 1)]
+    end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "latency_p50_ms", "better": "lower", "bound": 0.5}]
+    w = bench.summarize(pairs, end_to_end)["w"]
+    assert (w["ops_per_s"]["median_change"], w["ops_per_s"]["bound"]) == (0.25, 0.25)
+    assert (w["latency_p50_ms"]["median_change"], w["latency_p50_ms"]["bound"]) == (0.2, 0.5)
+    slower = [{**p, "before": p["after"], "after": p["before"]} for p in pairs]
+    assert bench.summarize(slower, end_to_end)["w"]["ops_per_s"]["median_change"] == -0.2
+    zero = [{**p, "before": line(0, 10)} for p in pairs]
+    assert bench.summarize(zero, end_to_end)["w"]["ops_per_s"]["median_change"] is None
 
 
 def test_bench_pairs_prints_every_end_to_end_metric():
