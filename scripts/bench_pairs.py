@@ -6,7 +6,10 @@ For each seed, runs the benchmark command of BENCHMARK.json with
 checkout ("before") and of the CHANGE checkout ("after"), T being
 BENCHMARK.json's run_seconds.  The side that runs first alternates from
 pair to pair, the parent going first in the first pair.  The final JSON
-line of each run is kept.
+line of each run is kept.  Before the first pair, each checkout's `src`
+and `perfbench` are byte-compiled (`python -m compileall -q`, which
+writes .pyc files even where PYTHONDONTWRITEBYTECODE is set), so neither
+side recompiles stale or missing .pyc files at every launch.
 
 FILE gets `pairs` and `summary`: per workload, the number of pairs, the
 failed operations of each side, whether every run was correct, and for
@@ -14,9 +17,13 @@ each end-to-end metric each side's median and quartiles
 (perfbench/benchstats) and the number of pairs the change won, ties
 counting for neither side; also the relative change of the medians,
 (after - before) / before, signed so that positive means better
-(`median_change`, null when the parent's median is 0), and the metric's
-`bound` from BENCHMARK.json.  If FILE exists, its other keys and its pairs
-of other workloads or seeds are kept.  FILE is rewritten after every
+(`median_change`, null when the parent's median is 0), the metric's
+`bound` from BENCHMARK.json, and `unresolved`: true when the parent's
+quartile spread, (q75 - q25) / median, is wider than the bound, unless
+every run of the change reads better than every run of the parent.  An
+unresolved metric can show neither a gain nor a regression within its
+bound.  If FILE exists, its other keys and its pairs of other workloads
+or seeds are kept.  FILE is rewritten after every
 pair, so an interrupted run keeps the pairs it finished, and each
 finished pair prints one line with every end-to-end metric, before -> after.
 
@@ -44,6 +51,14 @@ def seed_range(text: str) -> range:
     if not sep or not seeds:
         raise argparse.ArgumentTypeError(f"need a seed range A-B with A <= B, got {text!r}")
     return seeds
+
+
+def compile_checkout(checkout: Path) -> None:
+    """Byte-compile checkout's src and perfbench into __pycache__."""
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                          cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: compileall exited {proc.returncode}\n{proc.stdout}{proc.stderr}")
 
 
 def run_side(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
@@ -86,6 +101,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
                 sign * (stats["after_median"] - before_median) / before_median
                 if before_median else None)
             stats["bound"] = metric["bound"]
+            low, high = stats["before_quartiles"]
+            stats["unresolved"] = high - low > metric["bound"] * abs(before_median) and not all(
+                sign * (after - before) > 0
+                for after in values["after"] for before in values["before"])
             entry[name] = stats
         summary[workload] = entry
     return summary
@@ -114,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     pairs = [p for p in record.get("pairs", [])
              if p["workload"] != args.workload or p["seed"] not in args.seeds]
     checkouts = {"before": args.parent, "after": args.change}
+    for checkout in checkouts.values():
+        compile_checkout(checkout)
     for index, seed in enumerate(args.seeds):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         pair = {"workload": args.workload, "seed": seed, "first": order[0]}

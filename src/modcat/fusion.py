@@ -8,11 +8,11 @@ immutable and keeps its sparse rules, the fuse index, its axiom report,
 its FP dimensions and its universal grading, each computed once.  Every
 check runs in exact Python integers over the sparse rules, with no dense
 tensor and no numpy: the axioms compare ints of one table of products
-packed into ints, a passing ring's dual law costs O(rank^2) plus the
-generator rows, and a failing ring's dual witness comes from comparing
-the coefficient map with reindexed copies of it (see verify_fusion_ring
-for the cost).  FP dimensions come from a float power iteration that is
-then certified exactly for weakly integral rings.
+packed into ints, and associativity and the dual law check the rows of
+a generating set, then every row in order for a failing ring's witness
+(see verify_fusion_ring for the cost).  FP dimensions come from a float
+power iteration that is then certified exactly for weakly integral
+rings.
 """
 
 from __future__ import annotations
@@ -229,13 +229,15 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     generating set of rows is checked, three for SO(N)_2; when the unit
     law fails, 0 is not known to pass and joins the set.  When a
     generator fails, rows are scanned in order for the first witness.  A
-    ring whose products never peel has every index as a generator.  On a
-    ring that passes the other three axioms, the dual law costs O(rank^2)
-    plus sum_y |g (x) y| terms over the generators g; any other ring, and
-    one that fails it, compares the coefficient map with reindexed copies
-    of it, O(nnz) each, and the witness is the least key at which a pair
-    differs.  The library takes any size; join_cost bounds the full scan,
-    and callers that take rings from outside should budget by it.
+    ring whose products never peel has every index as a generator.  The
+    dual law reads digit 0 of every entry, O(rank^2) int operations, and
+    checks N_ij^k = N_{i* k}^j on row i in sum_k |i* (x) k| terms plus
+    rank comparisons: on the generator rows when the ring passes the other
+    three axioms, on every row in order for any other ring and one whose
+    generator row fails.  Only a non-commutative ring also builds a second
+    packed table, of N_{k j*}^i, in O(nnz) shifts.  The library takes any
+    size; join_cost bounds the full scan, and callers that take rings from
+    outside should budget by it.
     """
     return ring._report
 
@@ -260,11 +262,13 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     packed the same way, entry by entry in row-major (i, j) order, so the
     first differing entry and its lowest differing digit give the witness
     (i, j, k).  Associativity never reads the dual, so it is decided
-    first.  On a ring that passes unit, commutativity and associativity,
-    _dual_is_automorphism decides the dual law in O(rank^2) plus the
-    generator rows; any other ring, and one that fails it, compares the
-    coefficient map with reindexed copies of it (_dual_witness), and its
-    witness is the least key at which they differ.
+    first.  The dual law has the three parts of the row-major oracle, run
+    in order, each to its first witness: N_ij^0 = delta_{j, i*} on digit 0
+    of the table; N_ij^k = N_{i* k}^j row by row (_dual_row_witness),
+    decided by the generator rows as associativity is when the ring passes
+    the rest; and N_ij^k = N_{k j*}^i, which the second part implies on a
+    commutative ring, against a packed table of its right side.  Every
+    check reads only the packed table and the fuse index.
     """
     r = ring.rank
     table, w = packed = _packed_products(ring)
@@ -299,9 +303,41 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
             filter(None, (_row_witness(ring, i, packed, commutative) for i in range(r)))
         )
 
-    dual = None
-    if unit or commutativity or associativity or not _dual_is_automorphism(ring, packed):
-        dual = _dual_witness(ring, unit, commutativity)
+    # The dual law in three parts, each stage in row-major order.  Part 1,
+    # N_ij^0 = delta_{j, i*}: digit 0 of table[i][j] with the expected 1
+    # cleared is zero everywhere.
+    dual, digit = None, (1 << w) - 1
+    for i, (d, row) in enumerate(zip(ring.dual, table)):
+        units = list(map(digit.__and__, row))
+        units[d] ^= 1
+        if any(units):
+            dual = (i, next(j for j, u in enumerate(units) if u), 0)
+            break
+
+    # Part 2, N_ij^k = N_{i* k}^j: on a ring that passes the rest, the
+    # generator rows decide it (_dual_row_witness); the witness needs the
+    # rows in order.
+    if dual is None and (
+        unit
+        or commutativity
+        or associativity
+        or any(_dual_row_witness(ring, g, packed) for g in ring._unit_generators)
+    ):
+        dual = next(filter(None, (_dual_row_witness(ring, i, packed) for i in range(r))), None)
+
+    # Part 3, N_ij^k = N_{k j*}^i, follows from part 2 and commutativity.
+    # The table of N_{k j*}^i puts N_ab^c at (c, j) with j* = b; dual need
+    # not be an involution in a ring that fails a law, so j = inverse[b].
+    if dual is None and commutativity:
+        inverse = sorted(range(r), key=ring.dual.__getitem__)
+        third = [[0] * r for _ in range(r)]
+        for (a, b, c), m in ring.coeffs.items():
+            third[c][inverse[b]] += m << (w * a)
+        dual = first(
+            (i, j, p, q)
+            for i, (row, other) in enumerate(zip(table, third))
+            for j, (p, q) in enumerate(zip(row, other))
+        )
 
     return FusionReport(
         (
@@ -313,97 +349,48 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     )
 
 
-def _dual_is_automorphism(ring: FusionRing, packed: tuple[list[list[int]], int]) -> bool:
-    """The dual law, for a ring that passes unit, commutativity and
-    associativity; packed is _packed_products(ring).
+def _dual_row_witness(
+    ring: FusionRing, i: int, packed: tuple[list[list[int]], int]
+) -> tuple[int, int, int] | None:
+    """First (i, j, k), j and then k ascending, with N_ij^k != N_{i* k}^j;
+    packed is _packed_products(ring).
 
-    Two checks: (a) digit 0 of each table[i][j] is 1 if j = i* and 0
-    otherwise, rank^2 int operations; (b) for each generator g over the
-    unit and every y, x_g x_y with each digit l moved to l* equals
-    x_g* x_y*, sum_y |g (x) y| terms.
+    Row i* of the fuse index, packed by column, puts N_{i* k}^j in digit k
+    of entry j, sum_k |i* (x) k| terms; the first entry that differs from
+    table[i] gives j, and the lowest differing digit gives k.
 
-    Why they decide the law.  By (a), the unit law and commutativity,
+    Why the generator rows decide the law on a ring that passes unit,
+    commutativity, associativity and N_ij^0 = delta_{j, i*}.  Then
     N_{i* i}^0 = 1, so i** = i: * is an involution, and N_ij^k =
     c(i, j, k*) with c(a, b, c) = (x_a x_b x_c)_0, symmetric in its
-    arguments.  (b) says x -> x* is multiplicative on the generator rows;
-    the x on which it is multiplicative form a subspace that holds the
-    unit and is closed under products, so it holds every index
-    (_generators), * is a ring automorphism, c is *-invariant, and
-    N_{i* k}^j = c(i*, k, j*) = c(i, j, k*) = N_ij^k.  With the unit law
-    and commutativity, that gives the other two parts of the law.
-    Conversely, the law is (a) at k = 0 and gives (b) through N_ab^c =
-    N_{b* a*}^{c*}.  (b) is not redundant: the rank-3 ring with dual
-    (0, 2, 1), x1^2 = x2, x1 x2 = 1 + x1 and x2^2 = x1 + x2 passes the
-    other axioms and (a), and fails the law.
+    arguments.  So row i passes iff c(i, j, k) = c(i*, j*, k*) for all
+    j, k, that is iff x -> x* is multiplicative on row i: x_i x_y with
+    each digit l moved to l* equals x_i* x_y* for every y.  The x on which
+    it is multiplicative form a subspace that holds the unit and is closed
+    under products, so when it holds on the generator rows it holds on
+    every index (_generators), * is a ring automorphism, c is *-invariant,
+    and N_{i* k}^j = c(i*, k, j*) = c(i, j, k*) = N_ij^k.  The generator
+    rows are not redundant: the rank-3 ring with dual (0, 2, 1),
+    x1^2 = x2, x1 x2 = 1 + x1 and x2^2 = x1 + x2 passes the other axioms
+    and N_ij^0 = delta_{j, i*}, and fails at row 1 with (1, 1, 1).
     """
-    table, w = packed
-    dual, rows = ring.dual, ring._rows
-    digit, zero = (1 << w) - 1, [0] * ring.rank
-    for d, row in zip(dual, table):
-        expected = zero.copy()
-        expected[d] = 1
-        if list(map(digit.__and__, row)) != expected:
-            return False
-    shift = [w * d for d in dual]
-    for g in ring._unit_generators:
-        image = table[dual[g]]
-        for y, gy in enumerate(rows[g]):
-            moved = 0
-            for l, a in gy.items():
-                moved += a << shift[l]
-            if moved != image[dual[y]]:
-                return False
-    return True
-
-
-def _dual_witness(
-    ring: FusionRing, unit: tuple | None, commutativity: tuple | None
-) -> tuple[int, int, int] | None:
-    """The row-major first witness of the dual law, None if it holds;
-    unit and commutativity are the witnesses of those checks.
-
-    The law in three parts, each "the coefficient map equals this
-    reindexed copy of it": N_ij^0 = delta_{j, i*}, then N_ij^k = N_{i* k}^j,
-    then N_ij^k = N_{k j*}^i.  A copy is built from the entries: N_ac^b
-    lands at (i, b, c) with i* = a, so at i = inverse[a], since dual need
-    not be an involution in a ring that fails a law.  The second part and
-    the unit law give the first, N_ij^0 = N_{i* 0}^j, and the second and
-    commutativity give the third, N_ij^k = N_ji^k = N_{j* k}^i = N_{k j*}^i;
-    so the others run only to find the witness of a failing ring.  Each
-    comparison is O(nnz).
-    """
-    coeffs, items, dual = ring.coeffs, ring.coeffs.items(), ring.dual
-    inverse = {d: i for i, d in enumerate(dual)}
-    witness = second = _first_difference(coeffs, {(inverse[a], b, c): m for (a, c, b), m in items})
-    if unit or commutativity or second:
-        first_part = {key: m for key, m in items if key[2] == 0}
-        witness = (
-            _first_difference(first_part, {(i, d, 0): 1 for i, d in enumerate(dual)})
-            or second
-            or (
-                commutativity
-                and _first_difference(coeffs, {(c, inverse[b], a): m for (a, b, c), m in items})
-            )
-        )
-    return witness
+    table, width = packed
+    column = [0] * ring.rank
+    for k, dual_k in enumerate(ring._rows[ring.dual[i]]):
+        shift = width * k
+        for j, m in dual_k.items():
+            column[j] += m << shift
+    row = table[i]
+    if column == row:
+        return None
+    j = next(j for j, (a, b) in enumerate(zip(row, column)) if a != b)
+    return (i, j, _low_digit(row[j], column[j], width))
 
 
 def _low_digit(a: int, b: int, width: int) -> int:
     """The lowest digit of width bits in which a and b differ."""
     low = a ^ b
     return ((low & -low).bit_length() - 1) // width
-
-
-def _first_difference(a: Mapping, b: Mapping) -> tuple[int, int, int] | None:
-    """The least key at which two coefficient maps differ, None if they are
-    equal.  Stored multiplicities are positive, so a key held by one map
-    only is a difference.  The maps are walked rather than their items
-    collected into a set, so a witness costs no memory beside them."""
-    if a == b:
-        return None
-    return min(
-        chain((key for key, m in a.items() if b.get(key) != m), (key for key in b if key not in a))
-    )
 
 
 def _generators(ring: FusionRing, known: set[int]) -> list[int]:

@@ -100,6 +100,39 @@ def test_bench_pairs_summary_gives_median_change_and_bound():
     assert bench.summarize(zero, end_to_end)["w"]["ops_per_s"]["median_change"] is None
 
 
+def test_bench_pairs_marks_unresolved_metrics():
+    """A metric is unresolved when the parent's quartile spread over its
+    median is wider than the bound, unless every run of the change is
+    better than every run of the parent; canned lines, no benchmark runs."""
+    bench = load_script("bench_pairs")
+
+    def unresolved(before: list[float], after: list[float]) -> bool:
+        pairs = [{"workload": "w", "seed": s, "first": "before",
+                  "before": {"correct": True, "failed": 0, "metrics": {"ops_per_s": {"value": b}}},
+                  "after": {"correct": True, "failed": 0, "metrics": {"ops_per_s": {"value": a}}}}
+                 for s, (b, a) in enumerate(zip(before, after), 1)]
+        end_to_end = [{"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+        return bench.summarize(pairs, end_to_end)["w"]["ops_per_s"]["unresolved"]
+
+    assert not unresolved([98, 100, 102, 100, 101], [90, 95, 120, 99, 100])  # spread 0.02
+    wide = [60, 100, 140, 80, 120]  # quartiles about 75 and 125: spread 0.5 > 0.25
+    assert unresolved(wide, [100, 150, 90, 110, 130])
+    assert not unresolved(wide, [150, 141, 200, 160, 145])  # each above every parent run
+
+
+def test_bench_pairs_compiles_a_checkout(tmp_path, monkeypatch):
+    """compile_checkout writes __pycache__ for src and perfbench although
+    the environment sets PYTHONDONTWRITEBYTECODE."""
+    bench = load_script("bench_pairs")
+    for name in ("src", "perfbench"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "module.py").write_text("VALUE = 1\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench.compile_checkout(tmp_path)
+    for name in ("src", "perfbench"):
+        assert list((tmp_path / name / "__pycache__").glob("module.*.pyc")), name
+
+
 def test_bench_pairs_prints_every_end_to_end_metric():
     """pair_line() reads one canned pair; no benchmark runs."""
     bench = load_script("bench_pairs")
