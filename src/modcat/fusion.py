@@ -7,12 +7,12 @@ Labels are display metadata only; all semantics are by index.  A ring is
 immutable and keeps its sparse rules, the fuse index, its axiom report,
 its FP dimensions and its universal grading, each computed once.  Every
 check runs in exact Python integers over the sparse rules, with no dense
-tensor and no numpy: the axioms compare ints of one table of products
-packed into ints, and associativity and the dual law check the rows of
-a generating set, then every row in order for a failing ring's witness
-(see verify_fusion_ring for the cost).  FP dimensions come from a float
-power iteration that is then certified exactly for weakly integral
-rings.
+tensor and no numpy: every axiom check compares one row of a table of
+products packed into ints with one other packed row, and associativity
+and the dual law check the rows of a generating set, then every row in
+order for a failing ring's witness (see verify_fusion_ring for the
+cost).  FP dimensions come from a float power iteration that is then
+certified exactly for weakly integral rings.
 """
 
 from __future__ import annotations
@@ -221,8 +221,8 @@ def verify_fusion_ring(ring: FusionRing) -> FusionReport:
     exact integers.  The axioms read one table of rank^2 packed ints
     (_packed_products): entry (i, j) holds N_ij^k in digit k of w bits, at
     most rank w bits, so the table takes at most rank^3 w bits.  Unit and
-    commutativity compare entries with a power of two or with one other
-    entry, O(rank^2) int operations.  Associativity checks rows: row i
+    commutativity compare rows with the identity row and with columns of
+    the table, O(rank^2) int operations.  Associativity checks rows: row i
     costs sum_j |i (x) j| additions of rank packed ints plus sum_(j, k)
     |j (x) k| multiply-adds, about half of those on a commutative ring,
     whose scan computes the right side of each pair {j, k} once.  Only a
@@ -258,38 +258,33 @@ def join_cost(ring: FusionRing) -> int:
 def _check_axioms(ring: FusionRing) -> FusionReport:
     """FusionRing._report.
 
-    Unit and commutativity compare ints of the packed table with ints
-    packed the same way, entry by entry in row-major (i, j) order, so the
-    first differing entry and its lowest differing digit give the witness
-    (i, j, k).  Associativity never reads the dual, so it is decided
-    first.  The dual law has the three parts of the row-major oracle, run
-    in order, each to its first witness: N_ij^0 = delta_{j, i*} on digit 0
-    of the table; N_ij^k = N_{i* k}^j row by row (_dual_row_witness),
-    decided by the generator rows as associativity is when the ring passes
-    the rest; and N_ij^k = N_{k j*}^i, which the second part implies on a
-    commutative ring, against a packed table of its right side.  Every
-    check reads only the packed table and the fuse index.
+    Every check compares one packed row with another, row by row
+    (_row_difference), so the first differing entry j and its lowest
+    differing digit k give the row-major witness (i, j, k).  Unit compares
+    row 0, then column 0, with the identity row; commutativity row i with
+    column i.  Associativity never reads the dual, so it is decided first.
+    The dual law has the three parts of the row-major oracle, run in
+    order, each to its first witness: N_ij^0 = delta_{j, i*} on digit 0
+    of row i; N_ij^k = N_{i* k}^j against _dual_row, decided by the
+    generator rows as associativity is when the ring passes the rest; and
+    N_ij^k = N_{k j*}^i, which the second part implies on a commutative
+    ring, against a packed table of its right side.  Every check reads
+    only the packed table and the fuse index.
     """
     r = ring.rank
     table, w = packed = _packed_products(ring)
+    columns = [list(column) for column in zip(*table)]
 
-    def first(entries) -> tuple[int, int, int] | None:
-        """(i, j, k) for the first (i, j, a, b) with a != b, k the lowest
-        digit in which a and b differ."""
-        return next(((i, j, _low_digit(a, b, w)) for i, j, a, b in entries if a != b), None)
-
-    # Stages run in order; the witness is the first mismatch of the first failing one.
-    unit = first(
-        chain(
-            ((0, j, p, 1 << w * j) for j, p in enumerate(table[0])),
-            ((i, 0, row[0], 1 << w * i) for i, row in enumerate(table)),
-        )
-    )
+    # Stages run in order; the witness is the first mismatch of the first
+    # failing one.  Entry j of column 0 is table[j][0], so its witness is
+    # (j, 0, k).
+    identity = [1 << w * j for j in range(r)]
+    unit = _row_difference(0, table[0], identity, w)
+    if unit is None and (column := _row_difference(0, columns[0], identity, w)):
+        unit = (column[1], 0, column[2])
 
     # A pair (i, j) that differs from (j, i) is met first with i < j.
-    commutativity = first(
-        (i, j, row[j], table[j][i]) for i, row in enumerate(table) for j in range(i + 1, r)
-    )
+    commutativity = _first_row(lambda i: _row_difference(i, table[i], columns[i], w), r)
 
     # The x with (x y) z = x (y z) for all y, z form a subspace closed
     # under products, so the rows of a generating set decide the axiom;
@@ -297,33 +292,26 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     # table lives for this call only.
     gens = ring._unit_generators if unit is None else _generators(ring, set())
     commutative = commutativity is None
-    associativity = None
-    if any(_row_witness(ring, g, packed, commutative) for g in gens):
-        associativity = next(
-            filter(None, (_row_witness(ring, i, packed, commutative) for i in range(r)))
-        )
+    associativity = _first_row(lambda i: _row_witness(ring, i, packed, commutative), r, gens)
 
-    # The dual law in three parts, each stage in row-major order.  Part 1,
-    # N_ij^0 = delta_{j, i*}: digit 0 of table[i][j] with the expected 1
-    # cleared is zero everywhere.
-    dual, digit = None, (1 << w) - 1
-    for i, (d, row) in enumerate(zip(ring.dual, table)):
-        units = list(map(digit.__and__, row))
-        units[d] ^= 1
-        if any(units):
-            dual = (i, next(j for j, u in enumerate(units) if u), 0)
-            break
+    # The dual law in three parts.  Part 1, N_ij^0 = delta_{j, i*}: digit 0
+    # of row i with the expected 1 cleared is zero.
+    digit, zeros = (1 << w) - 1, [0] * r
+
+    def unit_digits(i: int) -> tuple[int, int, int] | None:
+        units = list(map(digit.__and__, table[i]))
+        units[ring.dual[i]] ^= 1
+        return _row_difference(i, units, zeros, w)
+
+    dual = _first_row(unit_digits, r)
 
     # Part 2, N_ij^k = N_{i* k}^j: on a ring that passes the rest, the
-    # generator rows decide it (_dual_row_witness); the witness needs the
-    # rows in order.
-    if dual is None and (
-        unit
-        or commutativity
-        or associativity
-        or any(_dual_row_witness(ring, g, packed) for g in ring._unit_generators)
-    ):
-        dual = next(filter(None, (_dual_row_witness(ring, i, packed) for i in range(r))), None)
+    # generator rows decide it (_dual_row).
+    if dual is None:
+        deciding = None if unit or commutativity or associativity else ring._unit_generators
+        dual = _first_row(
+            lambda i: _row_difference(i, table[i], _dual_row(ring, i, w), w), r, deciding
+        )
 
     # Part 3, N_ij^k = N_{k j*}^i, follows from part 2 and commutativity.
     # The table of N_{k j*}^i puts N_ab^c at (c, j) with j* = b; dual need
@@ -333,11 +321,7 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
         third = [[0] * r for _ in range(r)]
         for (a, b, c), m in ring.coeffs.items():
             third[c][inverse[b]] += m << (w * a)
-        dual = first(
-            (i, j, p, q)
-            for i, (row, other) in enumerate(zip(table, third))
-            for j, (p, q) in enumerate(zip(row, other))
-        )
+        dual = _first_row(lambda i: _row_difference(i, table[i], third[i], w), r)
 
     return FusionReport(
         (
@@ -349,15 +333,31 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     )
 
 
-def _dual_row_witness(
-    ring: FusionRing, i: int, packed: tuple[list[list[int]], int]
+def _row_difference(
+    i: int, row: list[int], other: list[int], width: int
 ) -> tuple[int, int, int] | None:
-    """First (i, j, k), j and then k ascending, with N_ij^k != N_{i* k}^j;
-    packed is _packed_products(ring).
+    """(i, j, k) with j the first entry in which two packed rows differ and
+    k the lowest digit of width bits in which they differ there; None when
+    the rows are equal."""
+    if row == other:
+        return None
+    j = next(j for j, (a, b) in enumerate(zip(row, other)) if a != b)
+    low = row[j] ^ other[j]
+    return (i, j, ((low & -low).bit_length() - 1) // width)
 
-    Row i* of the fuse index, packed by column, puts N_{i* k}^j in digit k
-    of entry j, sum_k |i* (x) k| terms; the first entry that differs from
-    table[i] gives j, and the lowest differing digit gives k.
+
+def _first_row(witness, rank: int, deciding=None):
+    """The first witness(i) that is not None, rows in order; None at once
+    when every row in deciding passes."""
+    if deciding is not None and not any(map(witness, deciding)):
+        return None
+    return next(filter(None, map(witness, range(rank))), None)
+
+
+def _dual_row(ring: FusionRing, i: int, width: int) -> list[int]:
+    """Row i* of the fuse index packed by column: N_{i* k}^j in digit k of
+    entry j, sum_k |i* (x) k| terms.  Row i of the packed table equals it
+    iff N_ij^k = N_{i* k}^j for all j, k.
 
     Why the generator rows decide the law on a ring that passes unit,
     commutativity, associativity and N_ij^0 = delta_{j, i*}.  Then
@@ -374,23 +374,12 @@ def _dual_row_witness(
     x1^2 = x2, x1 x2 = 1 + x1 and x2^2 = x1 + x2 passes the other axioms
     and N_ij^0 = delta_{j, i*}, and fails at row 1 with (1, 1, 1).
     """
-    table, width = packed
     column = [0] * ring.rank
     for k, dual_k in enumerate(ring._rows[ring.dual[i]]):
         shift = width * k
         for j, m in dual_k.items():
             column[j] += m << shift
-    row = table[i]
-    if column == row:
-        return None
-    j = next(j for j, (a, b) in enumerate(zip(row, column)) if a != b)
-    return (i, j, _low_digit(row[j], column[j], width))
-
-
-def _low_digit(a: int, b: int, width: int) -> int:
-    """The lowest digit of width bits in which a and b differ."""
-    low = a ^ b
-    return ((low & -low).bit_length() - 1) // width
+    return column
 
 
 def _generators(ring: FusionRing, known: set[int]) -> list[int]:
@@ -484,8 +473,7 @@ def _row_witness(
                 total += a * p_i[m]
             rhs.append(total)
         if lhs != rhs:
-            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return (i, j, k, _low_digit(lhs[k], rhs[k], width))
+            return (i, *_row_difference(j, lhs, rhs, width))
         if commutative:
             passed.append(lhs)
     return None

@@ -184,7 +184,7 @@ def swapped_dual_rings(count: int, seed: int):
 
 
 def test_axiom_witnesses_match_row_major_oracles():
-    failures = Counter()
+    failures, stages = Counter(), Counter()
     for ring in [
         *corrupted_rings(300, seed=10),
         *_wide_rings(),
@@ -199,8 +199,25 @@ def test_axiom_witnesses_match_row_major_oracles():
         assert {c.name: c.witness for c in report.checks} == expected
         assert all(c.passed == (c.witness is None) for c in report.checks)
         failures.update(c.name for c in report.checks if not c.passed)
+        stages.update(_witness_stage(ring, c) for c in report.checks if not c.passed)
     assert set(failures) == set(expected)
     assert min(failures.values()) >= 20, failures
+    assert len(stages) == 7 and min(stages.values()) >= 10, stages
+
+
+def _witness_stage(ring: FusionRing, check) -> str:
+    """The stage of a failing check that gives its witness.  The stages run
+    in order, so a witness breaks the law of its own stage and of no earlier
+    one: a unit witness in row 0 comes from the row-0 stage, and a dual
+    witness from the first of its three parts that it breaks."""
+    if check.name not in ("unit", "dual"):
+        return check.name
+    i, j, k = check.witness
+    if check.name == "unit":
+        return "unit row 0" if i == 0 else "unit column 0"
+    if k == 0 and ring.n(i, j, 0) != (j == ring.dual[i]):
+        return "dual part 1"
+    return "dual part 2" if ring.n(i, j, k) != ring.n(ring.dual[i], k, j) else "dual part 3"
 
 
 def _generator_rows_decide_dual_law(ring: FusionRing) -> bool:
@@ -213,13 +230,13 @@ def _generator_rows_decide_dual_law(ring: FusionRing) -> bool:
         return False
     if any(ring.n(i, j, 0) != (j == ring.dual[i]) for i in range(ring.rank) for j in range(ring.rank)):
         return False
-    packed = _packed_products(ring)
-    by_generators = all(
-        fusion._dual_row_witness(ring, g, packed) is None for g in ring._unit_generators
-    )
-    by_full_scan = all(
-        fusion._dual_row_witness(ring, i, packed) is None for i in range(ring.rank)
-    )
+    table, w = _packed_products(ring)
+
+    def passes(i: int) -> bool:
+        return fusion._row_difference(i, table[i], fusion._dual_row(ring, i, w), w) is None
+
+    by_generators = all(map(passes, ring._unit_generators))
+    by_full_scan = all(map(passes, range(ring.rank)))
     assert by_generators == by_full_scan == report.check("dual").passed
     return True
 
