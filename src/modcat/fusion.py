@@ -11,8 +11,8 @@ tensor and no numpy: every axiom check compares one row of a table of
 products packed into ints with one other packed row, and associativity
 and the dual law check the rows of a generating set, then every row in
 order for a failing ring's witness (see verify_fusion_ring for the
-cost).  FP dimensions come from a float power iteration that is then
-certified exactly for weakly integral rings.
+cost).  FP dimensions come from a float power iteration, which converges
+on every verified ring and is certified exactly on weakly integral ones.
 """
 
 from __future__ import annotations
@@ -273,18 +273,21 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     """
     r = ring.rank
     table, w = packed = _packed_products(ring)
-    columns = [list(column) for column in zip(*table)]
 
     # Stages run in order; the witness is the first mismatch of the first
     # failing one.  Entry j of column 0 is table[j][0], so its witness is
     # (j, 0, k).
     identity = [1 << w * j for j in range(r)]
     unit = _row_difference(0, table[0], identity, w)
-    if unit is None and (column := _row_difference(0, columns[0], identity, w)):
+    if unit is None and (column := _row_difference(0, [row[0] for row in table], identity, w)):
         unit = (column[1], 0, column[2])
 
-    # A pair (i, j) that differs from (j, i) is met first with i < j.
-    commutativity = _first_row(lambda i: _row_difference(i, table[i], columns[i], w), r)
+    # Column i takes its entries left of the diagonal from row i: each row
+    # j < i passed, so they are equal, and list comparison skips them by
+    # identity.  A pair (i, j) that differs from (j, i) is met first, i < j.
+    commutativity = _first_row(
+        lambda i: _row_difference(i, table[i], table[i][:i] + [row[i] for row in table[i:]], w), r
+    )
 
     # The x with (x y) z = x (y z) for all y, z form a subspace closed
     # under products, so the rows of a generating set decide the axiom;
@@ -485,10 +488,10 @@ def fp_dimensions(ring: FusionRing) -> list[float]:
     The FP dimension of object i is the spectral radius of its fusion
     matrix L_i.  The vector d of them is the positive common eigenvector,
     L_i d = d_i d (Etingof-Nikshych-Ostrik), found by power iteration on
-    R = sum_i L_i.  When the ring is weakly integral the squares a_i =
-    d_i^2 are integers, the identity is certified exactly and d_i is
-    math.sqrt(a_i); otherwise d is the float Perron vector, checked by
-    fp_identity_residual.  Requires a ring that passes verification.
+    R = sum_i L_i, which converges on a verified ring (_frobenius_perron).
+    When the ring is weakly integral the squares a_i = d_i^2 are integers,
+    the identity is certified exactly and d_i is math.sqrt(a_i); otherwise
+    d is the float Perron vector.  Requires a ring that passes verification.
     """
     ring.require_verified()
     return list(ring._fp[0])
@@ -503,7 +506,14 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
     certificate is exact, so L_i d = d_i d; d_i d_i* >= N_ii*^0 d_0 = 1
     makes d positive; and a positive common eigenvector belongs to the
     spectral radius of every L_i.  The 1e-12 step rule stops the rest,
-    rings that are not weakly integral, and fp_identity_residual checks them.
+    rings that are not weakly integral, at the float Perron vector.
+
+    Why the iteration converges on a verified ring.  For every k and j,
+    pick i in k (x) j*; the dual law gives N_ij^k = N_{k j*}^i >= 1, so
+    R_kj = sum_i N_ij^k >= 1.  A matrix with every entry positive has a
+    simple Perron root, larger in absolute value than every other
+    eigenvalue (Perron's theorem), so the normalized powers R^(2^t - 1) u
+    converge to its positive eigenvector, a multiple of d.
     """
     # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
     # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
@@ -523,8 +533,6 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
             return tuple(math.sqrt(a) for a in squares), squares
         if step <= 1e-12 * max(w):
             break
-    if fp_identity_residual(ring, dims) > 1e-9 * max(dims) ** 2:
-        raise ArithmeticError("Frobenius-Perron power iteration did not converge")
     return tuple(dims), None
 
 
@@ -569,16 +577,6 @@ def _certified_squares(ring: FusionRing, a: list[int], gens: list[int]) -> tuple
             if t * t != a[g] * a[j] * reps[c]:
                 return None
     return tuple(a)
-
-
-def fp_identity_residual(ring: FusionRing, dims: list[float]) -> float:
-    """Max violation of d_i d_j = sum_k N_ij^k d_k over all pairs."""
-    worst = 0.0
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            rhs = sum(m * dims[k] for k, m in ring.fuse(i, j).items())
-            worst = max(worst, abs(dims[i] * dims[j] - rhs))
-    return worst
 
 
 def global_dimension(ring: FusionRing) -> float:

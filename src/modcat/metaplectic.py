@@ -10,7 +10,7 @@ squared dimension halves.  No associator data is touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -100,10 +100,6 @@ class CondensedData:
     def total_squared_dim(self) -> float:
         return sum(o.dim**2 for o in self.d0 + self.d1)
 
-    @cached_property
-    def _group(self) -> "ReconstructedGroup":
-        return _reconstruct_group(self)  # a failure raises and is not cached
-
 
 def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     """Condense the invertible involution z at the fusion-ring level.
@@ -137,12 +133,12 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     # N_zi^k N_zk^i is the coefficient of i in z (x) (z (x) i) = i, which is
     # 1.  So z (x) i is one simple of multiplicity 1, and z (x) (z (x) i) = i.
     sigma = [next(iter(ring.fuse(z, i))) for i in range(ring.rank)]
-    dims, squares = ring._fp
     grading = ring._grading
     if not grading.cyclic:
         raise CondensationInputError(
             "universal grading is not cyclic; sector assignment unsupported"
         )
+    dims, squares = ring._fp
     # Condensation kills the grade of z: sectors live in Z_order / <grade(z)>.
     residual = gcd(grading.grades[z], grading.order)
 
@@ -216,14 +212,11 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     one GroupReconstructionError before any rule is read.  Inconsistent
     rules fail with the first witnessing pair of the generator row.
 
-    Computed once per data; the returned group's own data answers with
-    the same group.
+    Computed once per data and kept, on success only, in the __dict__ of
+    data and of the returned group's data: both answer with that group.
     """
-    return data._group
-
-
-def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
-    """CondensedData._group."""
+    if "_group" in vars(data):
+        return vars(data)["_group"]
     ring, z = data.ring, data.z
     order = len(data.d0)
     units: list[int] = []
@@ -249,6 +242,14 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     # chain numbers them 1..h, so the residues are Z_order.
     sources = sorted(children)
     lifts = {0: [0], z: [0]}  # parent source -> residues of its D0 children
+
+    def child_residues(source: int) -> list[int]:
+        if source not in lifts:
+            raise GroupReconstructionError(
+                f"component {ring.labels[source]} is not in the identity sector"
+            )
+        return lifts[source]
+
     if sources:
         first = cur = sources[0]
         lifts[first] = [1, order - 1]
@@ -261,38 +262,31 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
                 )
             cur = comps[0]
             lifts[cur] = [step, order - step]
-    residue_of_pos = {units[0]: 0}
-    for src, positions in children.items():
-        residue_of_pos.update(zip(positions, lifts[src]))
 
-    def child_residues(source: int) -> list[int]:
-        if source not in lifts:
-            raise GroupReconstructionError(
-                f"component {ring.labels[source]} is not in the identity sector"
-            )
-        return lifts[source]
-
-    # phi sends 1 and z to [0] and a split source s to [r_s] + [-r_s] in
-    # Q[Z_order].  In an associative ring, the x in V0 = span{1, z, split
-    # sources} with x V0 in V0 and phi(x y) = phi(x) phi(y) for all y in V0
-    # form a subspace closed under products.  It holds 1, and z when z (x) z
-    # = 1 and z fixes every split source.  Then, in a commutative ring with
-    # a unit, sources[0] belongs once its row passes, and so does each
-    # source the chain peeled from products with it: that row decides.
-    for a in sources[:1]:
+        # phi sends 1 and z to [0] and a split source s to [r_s] + [-r_s] in
+        # Q[Z_order].  In an associative ring, the x in V0 = span{1, z, split
+        # sources} with x V0 in V0 and phi(x y) = phi(x) phi(y) for all y in
+        # V0 form a subspace closed under products.  It holds 1, and z when
+        # z (x) z = 1 and z fixes every split source.  Then, in a commutative
+        # ring with a unit, first belongs once its row passes, and so does
+        # each source the chain peeled from products with it: that row
+        # decides.
         for b in sources:
-            lifted = sorted((ra + rb) % order for ra in lifts[a] for rb in lifts[b])
+            lifted = sorted((ra + rb) % order for ra in lifts[first] for rb in lifts[b])
             condensed = sorted(
                 r
-                for target, mult in ring.fuse(a, b).items()
+                for target, mult in ring.fuse(first, b).items()
                 for r in child_residues(target) * mult
             )
             if lifted != condensed:
                 raise GroupReconstructionError(
                     f"group law inconsistent: witness pair "
-                    f"({ring.labels[a]}, {ring.labels[b]})"
+                    f"({ring.labels[first]}, {ring.labels[b]})"
                 )
 
+    residue_of_pos = {units[0]: 0}
+    for src, positions in children.items():
+        residue_of_pos.update(zip(positions, lifts[src]))
     filled = tuple(
         CondensedObject(obj.sources, obj.source_labels, obj.split, obj.dim, residue_of_pos[pos])
         for pos, obj in enumerate(data.d0)
@@ -303,7 +297,7 @@ def _reconstruct_group(data: CondensedData) -> ReconstructedGroup:
         order=order, cyclic=True, assignment=assignment, data=new_data
     )
     # new_data differs from data only in group_elem, which is never read here.
-    vars(new_data)["_group"] = group
+    vars(data)["_group"] = vars(new_data)["_group"] = group
     return group
 
 

@@ -503,6 +503,27 @@ def fibonacci_ring() -> FusionRing:
     return FusionRing(rank=2, labels=("1", "t"), dual=(0, 1), coeffs=coeffs)
 
 
+def rank3_non_integral_ring(m: int) -> FusionRing:
+    """w^2 = 1 + z + m w with z w = w: d_w = (m + sqrt(m^2 + 8)) / 2, not
+    weakly integral."""
+    coeffs = {
+        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
+        (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
+        (2, 2, 0): 1, (2, 2, 1): 1, (2, 2, 2): m,
+    }
+    return FusionRing(rank=3, labels=("1", "z", "w"), dual=(0, 1, 2), coeffs=coeffs)
+
+
+def fp_identity_residual(ring: FusionRing, dims: list[float]) -> float:
+    """Max violation of d_i d_j = sum_k N_ij^k d_k over all pairs."""
+    worst = 0.0
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            rhs = sum(m * dims[k] for k, m in ring.fuse(i, j).items())
+            worst = max(worst, abs(dims[i] * dims[j] - rhs))
+    return worst
+
+
 def small_deligne_products() -> list[FusionRing]:
     """The 49 ordered products of Z_2, Z_3, Z_4, SO(3)_2, SO(5)_2, the
     dihedral ring of order 6 and Fibonacci; some have non-cyclic gradings."""

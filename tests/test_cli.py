@@ -283,6 +283,30 @@ print(status, peak_kb, file=sys.__stdout__)
     assert peak_kb / 1024 < 180
 
 
+def test_so2_rows_at_their_limits_peak_below_150_mb():
+    """The so2 limits rows at N = 493 (rank 250, MAX_RANK) in both formats,
+    and `meta enumerate` at a product of ten primes, run through cli.run
+    in one child, which reads VmHWM from its own status file: about 71 MB
+    and 0.8 s, so a regression to several hundred MB fails."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    script = """
+from modcat.cli import run
+commands = [["so2", c, "493", "--format", f] for c in ("fusion", "verify", "condense")
+            for f in ("json", "table")]
+print(*[run(argv).status for argv in commands + [["meta", "enumerate", "100280245065"]]])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses, peak_kb = proc.stdout.splitlines()
+    assert statuses.split() == ["0"] * 7
+    assert int(peak_kb) / 1024 <= 150
+
+
 def test_closed_pipe_exits_quietly():
     """`modcat cyclic build 99999 1 | head -c 100`: the 2.8 MB table
     overflows the pipe buffer, the reader leaves, and the command still

@@ -20,7 +20,6 @@ from modcat.fusion import (
     _row_witness,
     dihedral_fusion,
     fp_dimensions,
-    fp_identity_residual,
     global_dimension,
     pointed_cyclic_ring,
     subring_generated,
@@ -34,7 +33,9 @@ from tests.oracles import (
     dihedral_character_coeffs,
     fibonacci_ring,
     first_axiom_witnesses,
+    fp_identity_residual,
     grading_components_by_search,
+    rank3_non_integral_ring,
     row_witness_by_dicts,
     small_deligne_products,
     subring_by_filter,
@@ -477,9 +478,22 @@ def test_global_dimension_so9():
 
 
 def test_fp_eigenvector_identity():
-    for ring in (pointed_cyclic_ring(7), so_n2_fusion(9), dihedral_fusion(11)):
+    # The library does not check the float Perron vector: on a verified
+    # ring every entry of R = sum_i L_i is at least 1, so the power
+    # iteration converges (fusion._frobenius_perron).  Both are checked here.
+    rings = [so_n2_fusion(n) for n in range(3, 60, 2)]
+    rings += [dihedral_fusion(n) for n in range(3, 60, 2)]
+    rings += [pointed_cyclic_ring(n) for n in range(1, 30)]
+    rings += [fibonacci_ring(), *small_deligne_products(), rank3_non_integral_ring(2**22 + 1)]
+    for ring in rings:
+        assert verify_fusion_ring(ring).all_passed
+        r = ring.rank
+        total = [[0] * r for _ in range(r)]  # R_kj = sum_i N_ij^k
+        for (i, j, k), m in ring.coeffs.items():
+            total[k][j] += m
+        assert min(map(min, total)) >= 1, ring.labels
         dims = fp_dimensions(ring)
-        assert fp_identity_residual(ring, dims) < 1e-9
+        assert fp_identity_residual(ring, dims) <= 1e-9 * max(dims) ** 2, ring.labels
 
 
 def test_so_n2_squared_dimensions_are_exact():

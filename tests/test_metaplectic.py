@@ -32,6 +32,7 @@ from modcat.metaplectic import (
 from tests.oracles import (
     GROUP_PRECONDITION,
     group_law_by_full_scan,
+    rank3_non_integral_ring,
     small_deligne_products,
     so_n2_by_rules,
 )
@@ -212,6 +213,7 @@ def test_involutions_permute_simples_in_verified_rings():
                     condensed += 1
                 except CondensationInputError as exc:
                     assert str(exc).startswith("universal grading is not cyclic")
+                    assert "_fp" not in vars(ring)  # refused before the power iteration
                     refused += 1
     assert (len(rings), condensed, refused) == (137, 115, 48)
 
@@ -246,16 +248,7 @@ def test_odd_dimension_warning_reads_exact_squares():
     # w^2 = 1 + z + m w with z w = w: d_w = (m + sqrt(m^2 + 8)) / 2 lies
     # within 5e-7 of the odd integer m, but d_w^2 is not an integer.
     m = 2**22 + 1
-    ring = FusionRing(
-        rank=3,
-        labels=("1", "z", "w"),
-        dual=(0, 1, 2),
-        coeffs={
-            (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-            (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
-            (2, 2, 0): 1, (2, 2, 1): 1, (2, 2, 2): m,
-        },
-    )
+    ring = rank3_non_integral_ring(m)
     assert verify_fusion_ring(ring).all_passed
     assert 0 < fp_dimensions(ring)[2] - m < 1e-6
     assert condense_z2(ring, 1).warnings == ()
