@@ -226,13 +226,20 @@ def _cmd_meta_enumerate(args) -> Iterator:
         yield f"  {signs}; gauging bit {d.h3}"
 
 
-def _cmd_ring_verify(args) -> Iterator:
+def _ring_file(path: str) -> fusion.FusionRing:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            ring = fusion.FusionRing.from_json_dict(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            fields = fusion.FusionRing.check_json_dict(json.load(fh))
     except (OSError, ValueError, RecursionError) as exc:
-        raise _ArgumentError(f"cannot load fusion ring from {args.file}: {exc}")
-    _limit("rank", ring.rank, "MAX_RANK", MAX_RANK)  # join_cost builds rank^2 dicts
+        raise _ArgumentError(f"cannot load fusion ring from {path}: {exc}")
+    # The file passed every check of from_json_dict; the ring's fuse index
+    # holds rank^2 entries, so the rank is bounded before it is built.
+    _limit("rank", fields[0], "MAX_RANK", MAX_RANK)
+    return fusion.FusionRing.of_checked(*fields)
+
+
+def _cmd_ring_verify(args) -> Iterator:
+    ring = _ring_file(args.file)  # the checked coefficient dict is freed here
     _limit("join cost", fusion.join_cost(ring), "MAX_JOIN", MAX_JOIN)
     yield from _verified(args.file, ring, {})
 

@@ -4,32 +4,83 @@ Frobenius-Perron dimensions, universal grading, and subring extraction.
 A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
-immutable and keeps its sparse rules, the fuse index, its axiom report,
-its FP dimensions and its universal grading, each computed once.  Every
-check runs in exact Python integers over the sparse rules, with no dense
-tensor and no numpy: every axiom check compares one row of a table of
-products packed into ints with one other packed row, and associativity
-and the dual law check the rows of a generating set, then every row in
-order for a failing ring's witness (see verify_fusion_ring for the
-cost).  FP dimensions come from a float power iteration, which converges
-on every verified ring and is certified exactly on weakly integral ones.
+immutable and stores its rules once, as the fuse index rows[i][j] = {k:
+N_ij^k}; equal products may share one dict, and coeffs is a read-only
+view of the index keyed by (i, j, k).  It keeps its axiom report, its FP
+dimensions and its universal grading, each computed once.  Every check
+runs in exact Python integers over the index, with no dense tensor and no
+numpy: every axiom check compares one row of a table of products packed
+into ints with one other packed row, and associativity and the dual law
+check the rows of a generating set, then every row in order for a
+failing ring's witness (see verify_fusion_ring for the cost).  FP
+dimensions come from a float power iteration, which converges on every
+verified ring and is certified exactly on weakly integral ones.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add
-from types import MappingProxyType
-from typing import Mapping
 
 Coeffs = dict[tuple[int, int, int], int]
+Rows = list[list[dict[int, int]]]
 
 
 class InvalidFusionRingError(ValueError):
     """An operation required a ring that passes axiom verification."""
+
+
+class Coefficients(Mapping):
+    """Read-only view of a fuse index as {(i, j, k): N_ij^k}, nonzero
+    entries only.  len is the number of entries, counted on first use and
+    kept; keys outside the index raise KeyError; items() runs row-major
+    over (i, j).  Equal to any mapping with the same entries."""
+
+    __slots__ = ("_rows", "_len")
+
+    def __init__(self, rows: Rows) -> None:
+        self._rows = rows
+        self._len: int | None = None
+
+    def __getitem__(self, key: tuple[int, int, int]) -> int:
+        try:
+            i, j, k = key
+            if 0 <= i < len(self._rows) and 0 <= j < len(self._rows):
+                return self._rows[i][j][k]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self) -> int:
+        if self._len is None:
+            self._len = sum(map(len, chain.from_iterable(self._rows)))
+        return self._len
+
+    def items(self) -> "_Items":
+        return _Items(self)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Coefficients) and len(self._rows) == len(other._rows):
+            return self._rows == other._rows
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        for i, row in enumerate(self._mapping._rows):
+            for j, product in enumerate(row):
+                for k, m in product.items():
+                    yield (i, j, k), m
 
 
 @dataclass(frozen=True)
@@ -38,45 +89,53 @@ class FusionRing:
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
     The constructor validates the structure (rank, lengths, a dual
-    permutation, indices in range, positive multiplicities); the library's
-    own builders, whose rules satisfy it by construction, use _of_rules.
-    The fuse index, the generators over the unit, axiom report, FP
+    permutation, indices in range, positive multiplicities), then builds
+    the fuse index, the one stored form of the rules, and coeffs becomes
+    a Coefficients view of it.  The library's own builders, whose rules
+    satisfy the checks by construction, write the index directly
+    (_of_rows).  The generators over the unit, axiom report, FP
     dimensions and universal grading are computed on first use and kept.
     """
 
     rank: int
     labels: tuple[str, ...]
     dual: tuple[int, ...]
-    coeffs: Mapping[tuple[int, int, int], int]
+    coeffs: Coefficients
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dual", tuple(self.dual))
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
-        if type(self.rank) is not int or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if len(self.labels) != self.rank or len(self.dual) != self.rank:
-            raise ValueError("labels and dual must have length rank")
-        if not all(isinstance(s, str) for s in self.labels):
-            raise ValueError(f"labels must be strings, got {self.labels!r}")
-        if any(type(d) is not int for d in self.dual):
-            raise ValueError(f"dual entries must be integers, got {self.dual!r}")
-        if sorted(set(self.dual)) != list(range(self.rank)):
-            raise ValueError("dual must be a permutation of the indices")
-        for (i, j, k), m in self.coeffs.items():
-            _check_coefficient(self.rank, i, j, k, m)
+    def __init__(
+        self,
+        rank: int,
+        labels: Iterable[str],
+        dual: Iterable[int],
+        coeffs: Mapping[tuple[int, int, int], int],
+    ) -> None:
+        labels, dual = _checked_fields(rank, labels, dual, coeffs)
+        self._keep(rank, labels, dual, _index(rank, coeffs))
+
+    def _keep(self, rank: int, labels: tuple[str, ...], dual: tuple[int, ...], rows: Rows) -> None:
+        self.__dict__.update(
+            rank=rank, labels=labels, dual=dual, coeffs=Coefficients(rows), _rows=rows
+        )
 
     @classmethod
-    def _of_rules(
+    def _of_rows(
+        cls, rank: int, labels: tuple[str, ...], dual: tuple[int, ...], rows: Rows
+    ) -> "FusionRing":
+        """The ring of a fuse index that meets the constructor's checks by
+        construction; the ring keeps rows and every dict in them, so the
+        caller must not change them."""
+        ring = object.__new__(cls)
+        ring._keep(rank, labels, dual, rows)
+        return ring
+
+    @classmethod
+    def of_checked(
         cls, rank: int, labels: tuple[str, ...], dual: tuple[int, ...], coeffs: Coeffs
     ) -> "FusionRing":
-        """The ring of rules that meet the constructor's checks by
-        construction; the ring keeps coeffs, so the caller must not change it."""
-        ring = object.__new__(cls)
-        ring.__dict__.update(
-            rank=rank, labels=labels, dual=dual, coeffs=MappingProxyType(coeffs)
-        )
-        return ring
+        """The ring of fields that passed the constructor's checks, as
+        check_json_dict returns them: builds the fuse index, rank^2 entries,
+        and checks nothing."""
+        return cls._of_rows(rank, labels, dual, _index(rank, coeffs))
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.coeffs.get((i, j, k), 0)
@@ -84,16 +143,10 @@ class FusionRing:
     def fuse(self, i: int, j: int) -> dict[int, int]:
         """Components of i (x) j as {target index: multiplicity}.
 
-        Returns a shared internal dict; do not mutate.
+        Returns the fuse index's own dict, which other products and other
+        rings may share; do not mutate.
         """
         return self._rows[i][j]
-
-    @cached_property
-    def _rows(self) -> list[list[dict[int, int]]]:
-        rows: list = [[{} for _ in range(self.rank)] for _ in range(self.rank)]
-        for (a, b, k), m in self.coeffs.items():
-            rows[a][b][k] = m
-        return rows
 
     @cached_property
     def _report(self) -> "FusionReport":
@@ -111,8 +164,8 @@ class FusionRing:
     def _unit_generators(self) -> list[int]:
         return _generators(self, {0})
 
-    def __reduce__(self):  # a mappingproxy cannot be pickled; rebuild from a dict
-        return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs))
+    def __reduce__(self):  # rebuild from a dict of the coefficients
+        return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs.items()))
 
     def require_verified(self) -> None:
         if not self._report.all_passed:
@@ -124,15 +177,18 @@ class FusionRing:
 
         The other coefficients already passed the constructor's checks, so
         only the new one is checked, a deletion too, with the constructor's
-        messages.
+        messages.  The copy shares every product dict but the one it
+        changes, and copies the outer list and row i.
         """
         _check_coefficient(self.rank, i, j, k, m, least=0)
-        coeffs = self.coeffs.copy()
+        rows = list(self._rows)
+        row = rows[i] = list(rows[i])
+        product = row[j] = dict(row[j])
         if m:
-            coeffs[(i, j, k)] = m
+            product[k] = m
         else:
-            coeffs.pop((i, j, k), None)
-        return FusionRing._of_rules(self.rank, self.labels, self.dual, coeffs)
+            product.pop(k, None)
+        return FusionRing._of_rows(self.rank, self.labels, self.dual, rows)
 
     def to_json_dict(self) -> dict:
         triples = sorted([i, j, k, m] for (i, j, k), m in self.coeffs.items())
@@ -143,9 +199,13 @@ class FusionRing:
             "N": triples,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FusionRing":
-        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+    @staticmethod
+    def check_json_dict(data: dict) -> tuple[int, tuple[str, ...], tuple[int, ...], Coeffs]:
+        """Every check of from_json_dict, in its order, building nothing of
+        size rank^2: the checked (rank, labels, dual, coeffs).
+        from_json_dict(data) is of_checked(*check_json_dict(data)), so a
+        caller that bounds the rank does so in between.  type(x) is int
+        refuses bools and floats."""
         if not isinstance(data, dict):
             raise ValueError("ring data must be a JSON object")
         for key in ("rank", "labels", "dual", "N"):
@@ -164,7 +224,49 @@ class FusionRing:
         coeffs = {(i, j, k): m for i, j, k, m in rows}
         if len(coeffs) != len(rows):
             raise ValueError("duplicate [i, j, k] rows in N")
-        return cls(data["rank"], labels, dual, coeffs)
+        rank = data["rank"]
+        return (rank, *_checked_fields(rank, labels, dual, coeffs), coeffs)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "FusionRing":
+        """Load the JSON schema strictly (check_json_dict)."""
+        return cls.of_checked(*cls.check_json_dict(data))
+
+
+def _checked_fields(
+    rank: int,
+    labels: Iterable[str],
+    dual: Iterable[int],
+    coeffs: Mapping[tuple[int, int, int], int],
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The constructor's checks, in order; labels and dual as tuples."""
+    labels, dual = tuple(labels), tuple(dual)
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"rank must be a positive integer, got {rank!r}")
+    if len(labels) != rank or len(dual) != rank:
+        raise ValueError("labels and dual must have length rank")
+    if not all(isinstance(s, str) for s in labels):
+        raise ValueError(f"labels must be strings, got {labels!r}")
+    if any(type(d) is not int for d in dual):
+        raise ValueError(f"dual entries must be integers, got {dual!r}")
+    if sorted(set(dual)) != list(range(rank)):
+        raise ValueError("dual must be a permutation of the indices")
+    for (i, j, k), m in coeffs.items():
+        _check_coefficient(rank, i, j, k, m)
+    return labels, dual
+
+
+def _index(rank: int, coeffs: Mapping[tuple[int, int, int], int]) -> Rows:
+    """The fuse index of checked coefficients; every empty product is one
+    shared dict."""
+    empty: dict[int, int] = {}
+    rows = [[empty] * rank for _ in range(rank)]
+    for (i, j, k), m in coeffs.items():
+        row = rows[i]
+        if row[j] is empty:
+            row[j] = {}
+        row[j][k] = m
+    return rows
 
 
 def _check_coefficient(rank: int, i: int, j: int, k: int, m: int, least: int = 1) -> None:
@@ -249,8 +351,10 @@ def join_cost(ring: FusionRing) -> int:
     one per term of each j (x) k and compares rank^3 pairs; a packed int
     spans at most rank digits, so wide multiplicities cost in proportion.
     It stays an upper bound when a commutative ring's scan computes each
-    pair's right side once.  Builds the fuse index, rank^2 dicts, so bound
-    the rank first."""
+    pair's right side once.  It reads the rank^2 entries of the fuse index,
+    which every ring holds from its construction on, so a caller that
+    takes rings from outside bounds the rank before the ring is built:
+    FusionRing.check_json_dict, then of_checked."""
     rank = ring.rank
     return (rank**3 + 2 * rank * len(ring.coeffs)) * (1 + _digit_width(ring) // 64)
 
@@ -322,8 +426,10 @@ def _check_axioms(ring: FusionRing) -> FusionReport:
     if dual is None and commutativity:
         inverse = sorted(range(r), key=ring.dual.__getitem__)
         third = [[0] * r for _ in range(r)]
-        for (a, b, c), m in ring.coeffs.items():
-            third[c][inverse[b]] += m << (w * a)
+        for a, row in enumerate(ring._rows):
+            for b, product in enumerate(row):
+                for c, m in product.items():
+                    third[c][inverse[b]] += m << (w * a)
         dual = _first_row(lambda i: _row_difference(i, table[i], third[i], w), r)
 
     return FusionReport(
@@ -419,22 +525,36 @@ def _digit_width(ring: FusionRing) -> int:
     Every coefficient of (x_i x_j) x_k or x_i (x_j x_k) is at most
     max_ij sum_m N_ij^m times max N < 2^w, and so is every N.
     """
-    fanout = max(map(sum, map(dict.values, chain.from_iterable(ring._rows))))
-    return max(1, (fanout * max(ring.coeffs.values(), default=0)).bit_length())
+    values = list(map(dict.values, chain.from_iterable(ring._rows)))
+    fanout, top = max(map(sum, values)), max(chain.from_iterable(values), default=0)
+    return max(1, (fanout * top).bit_length())
 
 
 def _packed_products(ring: FusionRing) -> tuple[list[list[int]], int]:
     """The fuse index with each product packed into one int, P[m][k] =
-    sum_l N_mk^l << (w l), and the digit width w (_digit_width).
+    sum_l N_mk^l << (w l), and the digit width w (_digit_width).  A product
+    dict shared by several entries is packed once (keyed by its id), and
+    they share its int.
 
     Coefficients are non-negative, so sums of packed ints carry nothing
     from one digit to the next, and two such sums are equal exactly when
     the vectors they pack are.
     """
     width = _digit_width(ring)
-    table = [[0] * ring.rank for _ in range(ring.rank)]
-    for (m, k, l), a in ring.coeffs.items():
-        table[m][k] += a << (width * l)
+    shifts = [width * l for l in range(ring.rank)]
+    packed: dict[int, int] = {}
+    table = []
+    for row in ring._rows:
+        packed_row = []
+        for product in row:
+            total = packed.get(id(product))
+            if total is None:
+                total = 0
+                for l, a in product.items():
+                    total += a << shifts[l]
+                packed[id(product)] = total
+            packed_row.append(total)
+        table.append(packed_row)
     return table, width
 
 
@@ -517,12 +637,20 @@ def _frobenius_perron(ring: FusionRing) -> tuple[tuple[float, ...], tuple[int, .
     """
     # R v is the ring product u v with u = sum_i x_i, so squaring v = u^(2^t)
     # takes the power iteration from R^(2^t - 1) u to R^(2^(t+1) - 1) u.
-    r, terms, gens = ring.rank, ring.coeffs.items(), ring._unit_generators
+    # The ring is commutative, so each pair {i, j} is summed once.
+    r, rows, gens = ring.rank, ring._rows, ring._unit_generators
     v = [1.0 / r] * r
     for _ in range(64):
         w = [0.0] * r
-        for (i, j, k), m in terms:
-            w[k] += m * v[i] * v[j]
+        for i, row in enumerate(rows):
+            vi = v[i]
+            for k, m in row[i].items():
+                w[k] += m * vi * vi
+            twice = 2 * vi
+            for j in range(i + 1, r):
+                c = twice * v[j]
+                for k, m in row[j].items():
+                    w[k] += m * c
         total = sum(w)
         w = [x / total for x in w]
         step = max(abs(a - b) for a, b in zip(v, w))
@@ -684,52 +812,54 @@ def subring_generated(ring: FusionRing, generators: set[int]) -> FusionRing:
     kept = sorted(_closure(ring, generators))
     if len(kept) == ring.rank:
         return ring
-    # The closure is fusion-closed, so the rows of kept pairs stay inside it.
+    # The closure is fusion-closed, so the products of kept pairs stay
+    # inside it; products the parent shares stay shared.
     index = {old: new for new, old in enumerate(kept)}
-    rows = ring._rows
-    coeffs = {
-        (a, b, index[k]): m
-        for a, i in enumerate(kept)
-        for b, j in enumerate(kept)
-        for k, m in rows[i][j].items()
-    }
-    return FusionRing._of_rules(
+    rows = [[ring._rows[i][j] for j in kept] for i in kept]
+    distinct = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
+    renamed = {key: {index[k]: m for k, m in product.items()} for key, product in distinct.items()}
+    return FusionRing._of_rows(
         len(kept),
         tuple(ring.labels[i] for i in kept),
         tuple(index[ring.dual[i]] for i in kept),
-        coeffs,
+        [list(map(renamed.__getitem__, map(id, row))) for row in rows],
     )
 
 
 def pointed_cyclic_ring(n: int) -> FusionRing:
-    """Group ring of Z_n: n invertible simples, [i] (x) [j] = [i+j]."""
+    """Group ring of Z_n: n invertible simples, [i] (x) [j] = [i+j]; the n
+    products with one sum share one dict."""
     if type(n) is not int or n < 1:
         raise ValueError(f"need n >= 1, got {n!r}")
-    coeffs = {(i, j, (i + j) % n): 1 for i in range(n) for j in range(n)}
-    return FusionRing._of_rules(
+    sums = [{k: 1} for k in range(n)]
+    return FusionRing._of_rows(
         n,
         tuple(f"[{i}]" for i in range(n)),
         tuple((n - i) % n for i in range(n)),
-        coeffs,
+        [sums[i:] + sums[:i] for i in range(n)],  # entry j of row i is sums[(i + j) % n]
     )
 
 
-def _dihedral_rules(n: int, y0: int) -> Coeffs:
-    """Fusion coefficients of 1, Z (indices 0, 1) and Y_1..Y_h, h = (n-1)/2,
-    with Y_i at index y0 - 1 + i: Z (x) Z = 1, Z fixes every Y_i, and
-    Y_i (x) Y_j = Y_min(i+j, n-i-j) + Y_|i-j|, reading Y_0 as 1 + Z.  For
-    odd n every multiplicity is 1."""
+def _dihedral_rows(n: int, y0: int) -> Rows:
+    """Fuse index of rank y0 + h, h = (n-1)/2, holding 1, Z (indices 0, 1)
+    and Y_1..Y_h, with Y_i at index y0 - 1 + i: Z (x) Z = 1, Z fixes every
+    Y_i, and Y_i (x) Y_j = Y_min(i+j, n-i-j) + Y_|i-j|, reading Y_0 as
+    1 + Z.  For odd n every multiplicity is 1.  Indices 2..y0-1 have no
+    products yet; i (x) j and j (x) i share one dict, as do all products
+    with one result, and every empty product is one dict."""
     half, off = (n - 1) // 2, y0 - 1  # Y_i at index off + i
-    coeffs: Coeffs = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1}
+    empty: dict[int, int] = {}
+    rows = [[empty] * (y0 + half) for _ in range(y0 + half)]
+    rows[0][0] = rows[1][1] = {0: 1}
+    rows[0][1] = rows[1][0] = {1: 1}
     for i in range(1, half + 1):
         yi = off + i
-        coeffs[0, yi, yi] = coeffs[yi, 0, yi] = coeffs[yi, yi, 0] = 1
-        coeffs[1, yi, yi] = coeffs[yi, 1, yi] = coeffs[yi, yi, 1] = 1
-        for j in range(1, half + 1):
-            coeffs[yi, off + j, off + min(i + j, n - i - j)] = 1
-            if i != j:
-                coeffs[yi, off + j, off + abs(i - j)] = 1
-    return coeffs
+        rows[0][yi] = rows[yi][0] = rows[1][yi] = rows[yi][1] = {yi: 1}
+        rows[yi][yi] = {0: 1, 1: 1, off + min(2 * i, n - 2 * i): 1}
+        for j in range(i + 1, half + 1):
+            yj = off + j
+            rows[yi][yj] = rows[yj][yi] = {off + min(i + j, n - i - j): 1, off + j - i: 1}
+    return rows
 
 
 def dihedral_fusion(n: int) -> FusionRing:
@@ -743,4 +873,4 @@ def dihedral_fusion(n: int) -> FusionRing:
         raise ValueError(f"need odd n >= 3, got {n}")
     rank = 2 + (n - 1) // 2
     labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, rank - 1))
-    return FusionRing._of_rules(rank, labels, tuple(range(rank)), _dihedral_rules(n, 2))
+    return FusionRing._of_rows(rank, labels, tuple(range(rank)), _dihedral_rows(n, 2))

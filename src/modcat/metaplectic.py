@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from .fusion import FusionRing, _dihedral_rules
+from .fusion import FusionRing, _dihedral_rows
 from .numthy import distinct_primes
 
 
@@ -40,16 +40,20 @@ def so_n2_fusion(n: int) -> FusionRing:
     if type(n) is not int or n < 3 or n % 2 == 0:
         raise ValueError(f"need odd N >= 3, got {n}")
     rank = 4 + (n - 1) // 2
-    coeffs = _dihedral_rules(n, 4)
-    for x, other in ((2, 3), (3, 2)):  # the X sector
-        coeffs[0, x, x] = coeffs[x, 0, x] = coeffs[x, x, 0] = 1
-        coeffs[1, x, other] = coeffs[x, 1, other] = coeffs[x, other, 1] = 1
-        for y in range(4, rank):
-            coeffs[x, x, y] = coeffs[x, other, y] = 1
-            coeffs[x, y, x] = coeffs[x, y, other] = 1
-            coeffs[y, x, x] = coeffs[y, x, other] = 1
+    rows = _dihedral_rows(n, 4)
+    ys = range(4, rank)
+    # One dict per distinct product of the X sector.
+    square = {0: 1, **dict.fromkeys(ys, 1)}  # X (x) X = 1 + all Y's
+    mixed = {1: 1, **dict.fromkeys(ys, 1)}  # X1 (x) X2 = Z + all Y's
+    x_y = {2: 1, 3: 1}  # every X (x) Y and Y (x) X
+    for x, other in ((2, 3), (3, 2)):
+        rows[0][x] = rows[x][0] = {x: 1}
+        rows[1][x] = rows[x][1] = {other: 1}
+        rows[x][x], rows[x][other] = square, mixed
+        for y in ys:
+            rows[x][y] = rows[y][x] = x_y
     labels = ("1", "Z", "X1", "X2") + tuple(f"Y{i}" for i in range(1, rank - 3))
-    return FusionRing._of_rules(rank, labels, tuple(range(rank)), coeffs)
+    return FusionRing._of_rows(rank, labels, tuple(range(rank)), rows)
 
 
 @dataclass(frozen=True)

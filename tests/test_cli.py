@@ -286,7 +286,7 @@ print(status, peak_kb, file=sys.__stdout__)
 def test_so2_rows_at_their_limits_peak_below_150_mb():
     """The so2 limits rows at N = 493 (rank 250, MAX_RANK) in both formats,
     and `meta enumerate` at a product of ten primes, run through cli.run
-    in one child, which reads VmHWM from its own status file: about 71 MB
+    in one child, which reads VmHWM from its own status file: about 45 MB
     and 0.8 s, so a regression to several hundred MB fails."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")
@@ -305,6 +305,42 @@ with open("/proc/self/status") as fh:
     statuses, peak_kb = proc.stdout.splitlines()
     assert statuses.split() == ["0"] * 7
     assert int(peak_kb) / 1024 <= 150
+
+
+def test_cyclic_rows_and_ring_file_at_their_limits_peak_below_120_mb(tmp_path):
+    """The cyclic limits rows that hold n twists, `bosons`, `condense` by
+    H = 0,999,...,997002 and `double` at 998001 and `decompose` at 999999,
+    and `ring verify --file` with SO(243)_2, the largest SO(N)_2 file under
+    MAX_JOIN, run through cli.run with --format json in one child, which
+    reads VmHWM from its own status file: about 55 MB and 0.4 s, so a
+    regression to O(n^2) memory fails."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    path = tmp_path / "so243.json"
+    path.write_text(json.dumps(so_n2_fusion(243).to_json_dict()))
+    subgroup = ",".join(str(999 * i) for i in range(999))
+    commands = [
+        ["cyclic", "bosons", "998001", "1"],
+        ["cyclic", "condense", "998001", "1", "--subgroup", subgroup],
+        ["cyclic", "double", "998001", "1"],
+        ["cyclic", "decompose", "999999", "2"],
+        ["ring", "verify", "--file", str(path)],
+    ]
+    script = """
+import json, sys
+from modcat.cli import run
+print(*[run(argv + ["--format", "json"]).status for argv in json.loads(sys.argv[1])])
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses, peak_kb = proc.stdout.splitlines()
+    assert statuses.split() == ["0"] * len(commands)
+    assert int(peak_kb) / 1024 <= 120
 
 
 def test_closed_pipe_exits_quietly():
@@ -466,7 +502,9 @@ def test_ring_verify_admits_what_it_scans_quickly(tmp_path):
 
 
 def test_ring_verify_refuses_rank_before_building(tmp_path):
-    # The join cost reads the fuse index, rank^2 dicts, so rank comes first.
+    # A ring holds its fuse index, rank^2 entries, from its construction
+    # on, so the rank is bounded after the file's own checks and before
+    # the ring is built.
     rank = 100_000
     data = {"rank": rank, "labels": ["x"] * rank, "dual": list(range(rank)), "N": []}
     path = tmp_path / "huge.json"
@@ -475,6 +513,18 @@ def test_ring_verify_refuses_rank_before_building(tmp_path):
     result = run(["ring", "verify", "--file", str(path)])
     assert time.perf_counter() - start < 1.0
     assert result.status == 1 and f"MAX_RANK = {MAX_RANK}" in result.table
+    # The file's own checks come first, with their messages.
+    for change, message in (
+        ({"N": [[0, 0, rank, 1]]}, f"coefficient index out of range: (0, 0, {rank})"),
+        ({"N": [[0, 0, 0, 0]]}, "multiplicity must be positive, got N(0, 0, 0)=0"),
+        ({"dual": [0] * rank}, "dual must be a permutation of the indices"),
+        ({"labels": ["x"]}, "labels and dual must have length rank"),
+        ({"N": [[0, 0, 0, 1], [0, 0, 0, 1]]}, "duplicate [i, j, k] rows in N"),
+    ):
+        path.write_text(json.dumps({**data, **change}))
+        result = run(["ring", "verify", "--file", str(path)])
+        assert result.status == 1
+        assert result.table == f"error: cannot load fusion ring from {path}: {message}"
 
 
 def test_wide_multiplicity_file_is_refused_quickly(tmp_path):

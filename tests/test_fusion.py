@@ -275,7 +275,7 @@ def test_failing_dual_law_peaks_under_1mb_at_so151():
     SO(151)_2 with N_77^0 = 2 verifies at a traced peak under 1 MB, where
     one copy of its coefficient map keyed by (i, j, k) is about 1 MB."""
     ring = so_n2_fusion(151).with_coefficient(7, 7, 0, 2)
-    ring._rows, ring._unit_generators  # the fuse index is built outside the trace
+    ring._unit_generators  # computed outside the trace
     tracemalloc.start()
     try:
         report = verify_fusion_ring(ring)
@@ -399,6 +399,73 @@ def test_ring_is_immutable_and_verified_once():
     listed = FusionRing(rank=1, labels=["1"], dual=[0], coeffs={(0, 0, 0): 1})
     assert listed.labels == ("1",) and listed.dual == (0,)
     assert pickle.loads(pickle.dumps(ring)) == copy.deepcopy(ring) == ring
+
+
+def test_coeffs_is_a_read_only_view_of_the_fuse_index():
+    ring = so_n2_fusion(5)  # rank 6
+    coeffs = ring.coeffs
+    assert len(coeffs) == len(dict(coeffs.items())) == 58
+    assert coeffs[(2, 3, 1)] == coeffs.get((2, 4, 3)) == 1 and (4, 4, 0) in coeffs
+    # Absent or out of range: a KeyError, as in a dict; negative indices do not wrap.
+    for key in ((0, 1, 0), (6, 0, 6), (-1, 0, 5), (0, -6, 0), (0, 0), "key", None):
+        assert key not in coeffs and coeffs.get(key, 0) == 0
+        with pytest.raises(KeyError):
+            coeffs[key]
+    assert ring.n(-1, 0, 5) == 0
+    # items() runs row-major over (i, j); iteration gives the same keys.
+    keys = [key for key, _ in coeffs.items()]
+    assert [key[:2] for key in keys] == sorted(key[:2] for key in keys)
+    assert list(coeffs) == keys and list(coeffs.keys()) == keys
+    as_dict = dict(coeffs.items())
+    assert coeffs == as_dict and as_dict == coeffs
+    assert coeffs == FusionRing(6, ring.labels, ring.dual, as_dict).coeffs
+    assert coeffs != ring.with_coefficient(4, 4, 0, 0).coeffs
+    assert coeffs != {**as_dict, (4, 4, 0): 2} and coeffs != list(as_dict)
+    with pytest.raises(TypeError):
+        coeffs[(0, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        del coeffs[(0, 0, 0)]
+    with pytest.raises(TypeError):
+        hash(ring)  # as with the dict it replaced
+
+
+def test_equal_products_share_one_dict():
+    ring = so_n2_fusion(9)  # Y_1..Y_4 at indices 4..7
+    assert ring.fuse(4, 5) is ring.fuse(5, 4)
+    assert len({id(ring.fuse(x, y)) for x in (2, 3) for y in range(4, 8)} | {
+        id(ring.fuse(y, x)) for x in (2, 3) for y in range(4, 8)}) == 1
+    pointed = pointed_cyclic_ring(7)
+    assert len({id(pointed.fuse(i, j)) for i in range(7) for j in range(7)}) == 7
+    # A copy shares every product but the one it changes.
+    copied = ring.with_coefficient(4, 5, 0, 1)
+    assert copied.fuse(4, 5) is not ring.fuse(4, 5) and copied.fuse(5, 4) is ring.fuse(5, 4)
+    assert ring.fuse(4, 5) == {6: 1, 4: 1} and copied.fuse(4, 5) == {6: 1, 4: 1, 0: 1}
+    assert len(copied.coeffs) == len(ring.coeffs) + 1
+    assert copied._rows[6] is ring._rows[6] and copied._rows[4] is not ring._rows[4]
+    # The subring's index keeps the parent's sharing.
+    sub = subring_generated(ring, {4})
+    assert sub == dihedral_fusion(9) and sub.fuse(2, 3) is sub.fuse(3, 2)
+
+
+def test_so151_keeps_one_fuse_index():
+    """A verified, FP'd and graded SO(151)_2 stores its rules once, with
+    equal products sharing a dict: about 0.7 MiB under tracemalloc, where
+    a coefficient dict beside an unshared index kept 2.7 MiB.  A
+    with_coefficient copy shares all but one product dict and one row:
+    about 3 KB."""
+    build = so_n2_fusion.__wrapped__  # a fresh ring, outside the cache
+    tracemalloc.start()
+    try:
+        ring = build(151)
+        verify_fusion_ring(ring), fp_dimensions(ring), universal_grading(ring)
+        kept = tracemalloc.get_traced_memory()[0]
+        copied = ring.with_coefficient(7, 7, 0, 2)
+        added = tracemalloc.get_traced_memory()[0] - kept
+    finally:
+        tracemalloc.stop()
+    assert copied.n(7, 7, 0) == 2 and ring.n(7, 7, 0) == 1
+    assert kept <= 1.2 * 2**20, kept
+    assert added <= 0.1 * 2**20, added
 
 
 def test_unit_and_dual_failures_have_witnesses():
