@@ -146,8 +146,13 @@ class CyclicCategory:
         if type(n) is not int or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         _require_int_k(k)
+        if not isinstance(twists, Sequence):
+            raise ValueError(f"twists must be a sequence of Phase values, got {twists!r}")
         if len(twists) != n:
             raise ValueError(f"need one twist per label: n = {n}, got {len(twists)}")
+        bad = next((j for j, t in enumerate(twists) if not isinstance(t, Phase)), None)
+        if bad is not None:
+            raise ValueError(f"twist of label {bad} must be a Phase, got {twists[bad]!r}")
         d = lcm(n, *(t.frac.denominator for t in twists))
         residues = tuple(t.frac.numerator * (d // t.frac.denominator) for t in twists)
         self.__dict__.update(n=n, k=k, residues=residues, denominator=d)

@@ -5,13 +5,15 @@ A fusion ring here is commutative (every category in scope is braided)
 with a distinguished unit at index 0 and a dual involution on indices.
 Labels are display metadata only; all semantics are by index.  A ring is
 immutable and stores its rules once, as the fuse index rows[i][j] = {k:
-N_ij^k}; equal products may share one dict, and coeffs is a read-only
-view of the index keyed by (i, j, k).  It keeps its axiom report, its FP
-dimensions and its universal grading, each computed once.  Every check
-runs in exact Python integers over the index, with no dense tensor and no
-numpy: every axiom check compares one row of a table of products packed
-into ints with one other packed row, and associativity and the dual law
-check the rows of a generating set, then every row in order for a
+N_ij^k}, and coeffs is a read-only view of the index keyed by (i, j, k).
+Every index has one shape, whether built, loaded or unpickled: j (x) i
+shares the dict of an equal i (x) j, and the builders share more.  A ring
+keeps its axiom report, its FP dimensions and its universal grading, each
+computed once.  Every check runs in exact Python integers over the index,
+with no dense tensor and no numpy: verification packs each distinct
+product into one int once, every axiom check compares one row of that
+packed table with one other packed row, and associativity and the dual
+law check the rows of a generating set, then every row in order for a
 failing ring's witness (see verify_fusion_ring for the cost).  FP
 dimensions come from a float power iteration, which converges on every
 verified ring and is certified exactly on weakly integral ones.
@@ -90,10 +92,12 @@ class FusionRing:
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
     The constructor validates the structure (rank, lengths, a dual
     permutation, indices in range, positive multiplicities), then builds
-    the fuse index, the one stored form of the rules, and coeffs becomes
-    a Coefficients view of it.  The library's own builders, whose rules
+    the fuse index, the one stored form of the rules, with j (x) i sharing
+    the dict of an equal i (x) j (_index), and coeffs becomes a
+    Coefficients view of it.  The library's own builders, whose rules
     satisfy the checks by construction, write the index directly
-    (_of_rows).  The generators over the unit, axiom report, FP
+    (_of_rows), and so do pickle and deepcopy, which keep the index with
+    its shared dicts.  The generators over the unit, axiom report, FP
     dimensions and universal grading are computed on first use and kept.
     """
 
@@ -164,8 +168,8 @@ class FusionRing:
     def _unit_generators(self) -> list[int]:
         return _generators(self, {0})
 
-    def __reduce__(self):  # rebuild from a dict of the coefficients
-        return FusionRing, (self.rank, self.labels, self.dual, dict(self.coeffs.items()))
+    def __reduce__(self):  # the fuse index itself, with its shared dicts
+        return FusionRing._of_rows, (self.rank, self.labels, self.dual, self._rows)
 
     def require_verified(self) -> None:
         if not self._report.all_passed:
@@ -257,8 +261,11 @@ def _checked_fields(
 
 
 def _index(rank: int, coeffs: Mapping[tuple[int, int, int], int]) -> Rows:
-    """The fuse index of checked coefficients; every empty product is one
-    shared dict."""
+    """The fuse index of checked coefficients, shaped as the builders shape
+    theirs: every empty product is one shared dict, and j (x) i, j > i,
+    shares the dict of i (x) j when the two are equal.  The upper-triangle
+    dict is the one kept, so the sums of _frobenius_perron, which reads
+    i (x) j for j >= i, run in the coefficients' own order."""
     empty: dict[int, int] = {}
     rows = [[empty] * rank for _ in range(rank)]
     for (i, j, k), m in coeffs.items():
@@ -266,6 +273,10 @@ def _index(rank: int, coeffs: Mapping[tuple[int, int, int], int]) -> Rows:
         if row[j] is empty:
             row[j] = {}
         row[j][k] = m
+    for i, row in enumerate(rows):
+        for j in range(i + 1, rank):
+            if row[j] == rows[j][i]:
+                rows[j][i] = row[j]
     return rows
 
 
@@ -351,12 +362,13 @@ def join_cost(ring: FusionRing) -> int:
     one per term of each j (x) k and compares rank^3 pairs; a packed int
     spans at most rank digits, so wide multiplicities cost in proportion.
     It stays an upper bound when a commutative ring's scan computes each
-    pair's right side once.  It reads the rank^2 entries of the fuse index,
-    which every ring holds from its construction on, so a caller that
-    takes rings from outside bounds the rank before the ring is built:
+    pair's right side once.  It reads each distinct product of the fuse
+    index once (_distinct, a pass over its rank^2 entries), and every ring
+    holds that index from its construction on, so a caller that takes
+    rings from outside bounds the rank before the ring is built:
     FusionRing.check_json_dict, then of_checked."""
-    rank = ring.rank
-    return (rank**3 + 2 * rank * len(ring.coeffs)) * (1 + _digit_width(ring) // 64)
+    rank, width = ring.rank, _digit_width(_distinct(ring._rows).values())
+    return (rank**3 + 2 * rank * len(ring.coeffs)) * (1 + width // 64)
 
 
 def _check_axioms(ring: FusionRing) -> FusionReport:
@@ -519,43 +531,44 @@ def _generators(ring: FusionRing, known: set[int]) -> list[int]:
     return gens
 
 
-def _digit_width(ring: FusionRing) -> int:
-    """The digit width w of the packed table, at least 1.
+def _distinct(rows: Rows) -> dict[int, dict[int, int]]:
+    """Each product dict of a fuse index once, keyed by its id, in
+    row-major order of first appearance."""
+    return {id(product): product for product in chain.from_iterable(rows)}
+
+
+def _digit_width(products: Iterable[dict[int, int]]) -> int:
+    """The digit width w of the packed table of a ring whose distinct
+    products are given, at least 1.
 
     Every coefficient of (x_i x_j) x_k or x_i (x_j x_k) is at most
     max_ij sum_m N_ij^m times max N < 2^w, and so is every N.
     """
-    values = list(map(dict.values, chain.from_iterable(ring._rows)))
+    values = list(map(dict.values, products))
     fanout, top = max(map(sum, values)), max(chain.from_iterable(values), default=0)
     return max(1, (fanout * top).bit_length())
 
 
 def _packed_products(ring: FusionRing) -> tuple[list[list[int]], int]:
     """The fuse index with each product packed into one int, P[m][k] =
-    sum_l N_mk^l << (w l), and the digit width w (_digit_width).  A product
-    dict shared by several entries is packed once (keyed by its id), and
-    they share its int.
+    sum_l N_mk^l << (w l), and the digit width w (_digit_width).  Each
+    distinct product dict (_distinct) is packed once, and the entries
+    that share it share its int.
 
     Coefficients are non-negative, so sums of packed ints carry nothing
     from one digit to the next, and two such sums are equal exactly when
     the vectors they pack are.
     """
-    width = _digit_width(ring)
+    distinct = _distinct(ring._rows)
+    width = _digit_width(distinct.values())
     shifts = [width * l for l in range(ring.rank)]
     packed: dict[int, int] = {}
-    table = []
-    for row in ring._rows:
-        packed_row = []
-        for product in row:
-            total = packed.get(id(product))
-            if total is None:
-                total = 0
-                for l, a in product.items():
-                    total += a << shifts[l]
-                packed[id(product)] = total
-            packed_row.append(total)
-        table.append(packed_row)
-    return table, width
+    for key, product in distinct.items():
+        total = 0
+        for l, a in product.items():
+            total += a << shifts[l]
+        packed[key] = total
+    return [list(map(packed.__getitem__, map(id, row))) for row in ring._rows], width
 
 
 def _combine(vectors, coefficients: dict[int, int], zero: list[int]):
@@ -816,8 +829,7 @@ def subring_generated(ring: FusionRing, generators: set[int]) -> FusionRing:
     # inside it; products the parent shares stay shared.
     index = {old: new for new, old in enumerate(kept)}
     rows = [[ring._rows[i][j] for j in kept] for i in kept]
-    distinct = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
-    renamed = {key: {index[k]: m for k, m in product.items()} for key, product in distinct.items()}
+    renamed = {key: {index[k]: m for k, m in p.items()} for key, p in _distinct(rows).items()}
     return FusionRing._of_rows(
         len(kept),
         tuple(ring.labels[i] for i in kept),

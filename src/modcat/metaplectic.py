@@ -26,6 +26,12 @@ class GroupReconstructionError(ValueError):
     """Condensed identity-sector fusion is inconsistent with a cyclic group."""
 
 
+def _require_odd_n(n: int) -> None:
+    """Refuse n unless it is an odd int >= 3 (so no bool or float)."""
+    if type(n) is not int or n < 3 or n % 2 == 0:
+        raise ValueError(f"need odd N >= 3, got {n}")
+
+
 @lru_cache(maxsize=8)
 def so_n2_fusion(n: int) -> FusionRing:
     """The SO(N)_2 fusion ring for odd N >= 3 (rank (N+7)/2).
@@ -37,8 +43,7 @@ def so_n2_fusion(n: int) -> FusionRing:
     callers share one immutable ring, so it is verified and graded once
     while cached.
     """
-    if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd N >= 3, got {n}")
+    _require_odd_n(n)
     rank = 4 + (n - 1) // 2
     rows = _dihedral_rows(n, 4)
     ys = range(4, rank)
@@ -392,8 +397,7 @@ class MetaplecticDescriptor:
 def count_metaplectic(n: int) -> int:
     """Number of inequivalent metaplectic modular categories with SO(N)_2
     fusion rules: 2^(s+1), s the number of distinct primes of N."""
-    if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd N >= 3, got {n}")
+    _require_odd_n(n)
     return 2 ** (len(distinct_primes(n)) + 1)
 
 
@@ -406,8 +410,7 @@ def enumerate_metaplectic(n: int) -> list[MetaplecticDescriptor]:
     local parameter with any prescribed Legendre sign exists at every
     prime.
     """
-    if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd N >= 3, got {n}")
+    _require_odd_n(n)
     primes = distinct_primes(n)
     descriptors = []
     for signs in product((1, -1), repeat=len(primes)):

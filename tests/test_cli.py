@@ -283,39 +283,46 @@ print(status, peak_kb, file=sys.__stdout__)
     assert peak_kb / 1024 < 180
 
 
-def test_so2_rows_at_their_limits_peak_below_150_mb():
-    """The so2 limits rows at N = 493 (rank 250, MAX_RANK) in both formats,
-    and `meta enumerate` at a product of ten primes, run through cli.run
-    in one child, which reads VmHWM from its own status file: about 45 MB
-    and 0.8 s, so a regression to several hundred MB fails."""
+def statuses_and_peak_mb(commands: list[list[str]]) -> tuple[list[int], float]:
+    """Run each argv through cli.run in one child interpreter, which reads
+    VmHWM from its own status file: the exit statuses and the peak in MB.
+    Skips the test where there is no /proc/self/status."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")
     script = """
+import json, sys
 from modcat.cli import run
-commands = [["so2", c, "493", "--format", f] for c in ("fusion", "verify", "condense")
-            for f in ("json", "table")]
-print(*[run(argv).status for argv in commands + [["meta", "enumerate", "100280245065"]]])
+print(*[run(argv).status for argv in json.loads(sys.argv[1])])
 with open("/proc/self/status") as fh:
     print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     statuses, peak_kb = proc.stdout.splitlines()
-    assert statuses.split() == ["0"] * 7
-    assert int(peak_kb) / 1024 <= 150
+    return list(map(int, statuses.split())), int(peak_kb) / 1024
+
+
+def test_so2_rows_at_their_limits_peak_below_150_mb():
+    """The so2 limits rows at N = 493 (rank 250, MAX_RANK) in both formats,
+    and `meta enumerate` at a product of ten primes, run through cli.run
+    in one child: about 45 MB and 0.8 s, so a regression to several
+    hundred MB fails."""
+    commands = [["so2", c, "493", "--format", f] for c in ("fusion", "verify", "condense")
+                for f in ("json", "table")]
+    statuses, peak_mb = statuses_and_peak_mb(commands + [["meta", "enumerate", "100280245065"]])
+    assert statuses == [0] * 7
+    assert peak_mb <= 150
 
 
 def test_cyclic_rows_and_ring_file_at_their_limits_peak_below_120_mb(tmp_path):
     """The cyclic limits rows that hold n twists, `bosons`, `condense` by
     H = 0,999,...,997002 and `double` at 998001 and `decompose` at 999999,
     and `ring verify --file` with SO(243)_2, the largest SO(N)_2 file under
-    MAX_JOIN, run through cli.run with --format json in one child, which
-    reads VmHWM from its own status file: about 55 MB and 0.4 s, so a
-    regression to O(n^2) memory fails."""
-    if not os.path.exists("/proc/self/status"):
-        pytest.skip("no /proc/self/status to read VmHWM from")
+    MAX_JOIN, run through cli.run with --format json in one child: about
+    55 MB and 0.4 s, so a regression to O(n^2) memory fails."""
     path = tmp_path / "so243.json"
     path.write_text(json.dumps(so_n2_fusion(243).to_json_dict()))
     subgroup = ",".join(str(999 * i) for i in range(999))
@@ -326,21 +333,9 @@ def test_cyclic_rows_and_ring_file_at_their_limits_peak_below_120_mb(tmp_path):
         ["cyclic", "decompose", "999999", "2"],
         ["ring", "verify", "--file", str(path)],
     ]
-    script = """
-import json, sys
-from modcat.cli import run
-print(*[run(argv + ["--format", "json"]).status for argv in json.loads(sys.argv[1])])
-with open("/proc/self/status") as fh:
-    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
-        capture_output=True, text=True, env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    statuses, peak_kb = proc.stdout.splitlines()
-    assert statuses.split() == ["0"] * len(commands)
-    assert int(peak_kb) / 1024 <= 120
+    statuses, peak_mb = statuses_and_peak_mb([argv + ["--format", "json"] for argv in commands])
+    assert statuses == [0] * len(commands)
+    assert peak_mb <= 120
 
 
 def test_closed_pipe_exits_quietly():

@@ -1074,6 +1074,15 @@ def test_category_constructor_refuses_what_the_reader_refuses():
     for n, k in ((3.0, 1), (True, 1), (1, True)):
         with pytest.raises(ValueError, match="must be"):
             CyclicCategory(n, k, [Phase.of(0)])
+    # Twists that are not Phase values raised AttributeError or TypeError.
+    with pytest.raises(ValueError, match="twist of label 0 must be a Phase, got 0"):
+        CyclicCategory(3, 1, [0, 0, 0])
+    with pytest.raises(ValueError, match=r"label 0 must be a Phase, got Fraction\(0, 1\)"):
+        CyclicCategory(3, 1, [Fraction(0)] * 3)
+    with pytest.raises(ValueError, match="twist of label 2 must be a Phase, got '1/3'"):
+        CyclicCategory(3, 1, [Phase.of(0), Phase.of(1, 3), "1/3"])
+    with pytest.raises(ValueError, match="twists must be a sequence of Phase values, got None"):
+        CyclicCategory(3, 1, None)
 
 
 def test_category_json_refuses_non_object_and_missing_keys():

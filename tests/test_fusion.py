@@ -468,6 +468,48 @@ def test_so151_keeps_one_fuse_index():
     assert added <= 0.1 * 2**20, added
 
 
+def test_loaded_so151_keeps_one_shared_fuse_index():
+    """SO(151)_2 loaded from its JSON shares j (x) i with an equal i (x) j,
+    as the built ring does: about 0.87 MiB under tracemalloc after
+    verification, FP dimensions and grading, where an index with a dict
+    for every nonzero product kept 1.53 MiB."""
+    data = so_n2_fusion(151).to_json_dict()
+    tracemalloc.start()
+    try:
+        ring = FusionRing.from_json_dict(data)
+        verify_fusion_ring(ring), fp_dimensions(ring), universal_grading(ring)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ring.fuse(4, 9) is ring.fuse(9, 4)
+    assert kept <= 2**20, kept
+
+
+def test_pickle_and_deepcopy_keep_the_fuse_index():
+    """Copies keep the index with its shared dicts: the builder's one dict
+    for every X (x) Y_j, not only the transposes that loading shares."""
+    ring = so_n2_fusion(15)  # X1, X2 at indices 2, 3; Y_1..Y_7 at 4..10
+    shared = len({id(p) for row in ring._rows for p in row})
+    for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+        assert copied == ring and copied._rows is not ring._rows
+        assert copied.fuse(2, 4) is copied.fuse(4, 2) is copied.fuse(3, 10)
+        assert len({id(p) for row in copied._rows for p in row}) == shared
+        assert verify_fusion_ring(copied).to_json_dict() == verify_fusion_ring(ring).to_json_dict()
+        assert fp_dimensions(copied) == fp_dimensions(ring)
+
+
+def test_with_coefficient_on_a_loaded_ring_keeps_the_transpose():
+    """A loaded ring shares j (x) i with an equal i (x) j; overriding
+    N_ij^k copies i (x) j alone and leaves j (x) i as it was."""
+    ring = FusionRing.from_json_dict(so_n2_fusion(9).to_json_dict())
+    assert ring.fuse(4, 5) is ring.fuse(5, 4)
+    for i, j, k, m in ((4, 5, 0, 1), (4, 5, 6, 0), (5, 4, 7, 3), (2, 6, 2, 0)):
+        before = dict(ring.fuse(j, i))
+        copied = ring.with_coefficient(i, j, k, m)
+        assert copied.fuse(j, i) == before and ring.fuse(j, i) == before
+        assert copied.n(i, j, k) == m and not verify_fusion_ring(copied).all_passed
+
+
 def test_unit_and_dual_failures_have_witnesses():
     ring = pointed_cyclic_ring(3)
     no_unit = ring.with_coefficient(0, 1, 1, 0).with_coefficient(0, 1, 2, 1)
