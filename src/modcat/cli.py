@@ -16,9 +16,9 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import cyclic, fusion, metaplectic
+from ._value import Value
 
 MAX_RANK = 250  # so2 and ring verify: so2 verify|condense 493 take 0.6-0.8 s as whole processes
 MAX_JOIN = 10**7  # ring verify: fusion.join_cost, the budget of a full associativity scan
@@ -26,14 +26,16 @@ MAX_N = 10**6  # cyclic build, bosons, condense, double and decompose hold n twi
 MAX_FACTOR_N = 10**12  # trial division by odd p <= sqrt(n): about 0.3 s at the limit
 
 
-@dataclass(frozen=True)
-class CommandResult:
+class CommandResult(Value):
     """The outcome of one command line.  `table` is the printed text: the
     table, the JSON, or the error message."""
 
     status: int
     payload: object  # JSON-serializable
     table: str
+
+    def __init__(self, status, payload, table) -> None:
+        self.__dict__.update(status=status, payload=payload, table=table)
 
 
 class _ArgumentError(ValueError):

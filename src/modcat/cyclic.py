@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, lcm, sqrt
-from typing import Iterable, Sequence
 
+from ._value import Value
 from .numthy import factorize, jacobi, unit_square_orbits
 
 _TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a twist text "a" or "a/b", b > 0
@@ -56,18 +56,18 @@ class NotIsotropicError(CondensationError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Phase:
+class Phase(Value, by_dict=False):
     """A root of unity e^{2 pi i a/b}, stored as the reduced fraction a/b
     in [0, 1).  Addition and negation are exact modulo 1.  Immutable, so
     one object may stand for every label that carries its value."""
 
+    __slots__ = ("frac",)
     frac: Fraction
 
-    def __post_init__(self) -> None:
-        f = self.frac
-        if not 0 <= f.numerator < f.denominator:  # Fraction % 1 is the slow part
-            object.__setattr__(self, "frac", f % 1)
+    def __init__(self, frac: Fraction) -> None:
+        if not 0 <= frac.numerator < frac.denominator:  # Fraction % 1 is the slow part
+            frac %= 1
+        object.__setattr__(self, "frac", frac)
 
     @classmethod
     def of(cls, numerator: int, denominator: int = 1) -> "Phase":
@@ -106,7 +106,7 @@ class Phase:
     def __str__(self) -> str:
         return f"{self.frac.numerator}/{self.frac.denominator}"
 
-    def __reduce__(self):  # Python 3.10 cannot unpickle a frozen slotted dataclass
+    def __reduce__(self):  # slot state would be restored through the frozen __setattr__
         return Phase, (self.frac,)
 
 
@@ -126,8 +126,7 @@ def phases(denominator: int, residues: Sequence[int]) -> tuple[Phase, ...]:
     return tuple(_shared(residues, lambda r: Phase.of(r, denominator)))
 
 
-@dataclass(frozen=True, init=False)
-class CyclicCategory:
+class CyclicCategory(Value, by_dict=False):
     """Modular data of the cyclic category with twists theta_j = e^{2 pi i
     k j^2 / n} on the fusion group Z_n.  n odd, k a unit modulo n.
 
@@ -139,8 +138,9 @@ class CyclicCategory:
 
     n: int
     k: int
-    residues: tuple[int, ...] = field(init=False)
-    denominator: int = field(init=False)
+    residues: tuple[int, ...]
+    denominator: int
+    _init_fields = ("n", "k")  # the constructor takes twists, not residues
 
     def __init__(self, n: int, k: int, twists: Sequence[Phase]) -> None:
         if type(n) is not int or n < 1:
@@ -172,7 +172,7 @@ class CyclicCategory:
         return phases(self.denominator, self.residues)
 
     def __getstate__(self) -> dict:  # pickles and copies leave the cached twists out
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
     @property
     def rank(self) -> int:
@@ -205,12 +205,14 @@ class CyclicCategory:
         return cls(n=data["n"], k=data["k"], twists=tuple(map(Phase.parse, twists)))
 
 
-@dataclass(frozen=True)
-class ClassDescriptor:
+class ClassDescriptor(Value):
     """Canonical invariant of a cyclic class: per prime-power factor p^a of
     the modulus, the Jacobi sign of the local form parameter."""
 
     factors: tuple[tuple[int, int], ...]  # ((p^a, sign), ...) sorted by prime
+
+    def __init__(self, factors) -> None:
+        self.__dict__["factors"] = factors
 
     @property
     def modulus(self) -> int:
@@ -319,10 +321,12 @@ def smatrix(cat: CyclicCategory) -> list[list[Phase]]:
     return rows
 
 
-@dataclass(frozen=True)
-class BalancingReport:
+class BalancingReport(Value):
     passed: bool
-    witness: tuple[int, int] | None = None
+    witness: tuple[int, int] | None
+
+    def __init__(self, passed, witness=None) -> None:
+        self.__dict__.update(passed=passed, witness=witness)
 
 
 def verify_balancing(cat: CyclicCategory) -> BalancingReport:
@@ -472,8 +476,7 @@ def find_bosons(cat: CyclicCategory) -> list[int]:
     return bosons
 
 
-@dataclass(frozen=True)
-class CondensationOutcome:
+class CondensationOutcome(Value):
     """Result of condensing an isotropic boson subgroup H: the descended
     form on the local quotient H-perp / H."""
 
@@ -482,6 +485,12 @@ class CondensationOutcome:
     generator: int  # smallest positive representative generating the quotient
     quotient: CyclicCategory
     lagrangian: bool
+
+    def __init__(self, subgroup, perp, generator, quotient, lagrangian) -> None:
+        self.__dict__.update(
+            subgroup=subgroup, perp=perp, generator=generator, quotient=quotient,
+            lagrangian=lagrangian,
+        )
 
     def to_json_dict(self) -> dict:
         return {

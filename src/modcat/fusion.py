@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import ItemsView, Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import add
+
+from ._value import Value
 
 Coeffs = dict[tuple[int, int, int], int]
 Rows = list[list[dict[int, int]]]
@@ -85,8 +86,7 @@ class _Items(ItemsView):
                     yield (i, j, k), m
 
 
-@dataclass(frozen=True)
-class FusionRing:
+class FusionRing(Value, by_dict=False):
     """Sparse fusion-ring data, immutable.
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.
@@ -291,16 +291,20 @@ def _check_coefficient(rank: int, i: int, j: int, k: int, m: int, least: int = 1
         raise ValueError(f"multiplicity must be positive, got N{(i, j, k)}={m}")
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Value):
     name: str
     passed: bool
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+
+    def __init__(self, name, passed, witness=None) -> None:
+        self.__dict__.update(name=name, passed=passed, witness=witness)
 
 
-@dataclass(frozen=True)
-class FusionReport:
+class FusionReport(Value):
     checks: tuple[AxiomCheck, ...]
+
+    def __init__(self, checks) -> None:
+        self.__dict__["checks"] = checks
 
     @property
     def all_passed(self) -> bool:
@@ -725,8 +729,7 @@ def global_dimension(ring: FusionRing) -> float:
     return sum(d * d for d in fp_dimensions(ring))
 
 
-@dataclass(frozen=True)
-class GradingResult:
+class GradingResult(Value):
     """Universal grading: the finest grade-additive abelian group.
 
     grades[i] is the residue of object i when the group is cyclic of the
@@ -737,6 +740,9 @@ class GradingResult:
     order: int
     grades: tuple[int, ...]
     cyclic: bool
+
+    def __init__(self, order, grades, cyclic) -> None:
+        self.__dict__.update(order=order, grades=grades, cyclic=cyclic)
 
 
 def _closure(ring: FusionRing, seeds: set[int]) -> set[int]:

@@ -9,11 +9,11 @@ squared dimension halves.  No associator data is touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
+from ._value import Value, replace
 from .fusion import FusionRing, _dihedral_rows
 from .numthy import distinct_primes
 
@@ -61,8 +61,7 @@ def so_n2_fusion(n: int) -> FusionRing:
     return FusionRing._of_rows(rank, labels, tuple(range(rank)), rows)
 
 
-@dataclass(frozen=True)
-class CondensedObject:
+class CondensedObject(Value):
     """One simple object of the condensed category.
 
     sources are parent-ring indices (two for a merged free orbit); split
@@ -74,7 +73,13 @@ class CondensedObject:
     source_labels: tuple[str, ...]
     split: int | None
     dim: float
-    group_elem: int | None = None
+    group_elem: int | None
+
+    def __init__(self, sources, source_labels, split, dim, group_elem=None) -> None:
+        self.__dict__.update(
+            sources=sources, source_labels=source_labels, split=split, dim=dim,
+            group_elem=group_elem,
+        )
 
     @property
     def name(self) -> str:
@@ -86,8 +91,7 @@ class CondensedObject:
         return {"dim": self.dim, "group_elem": self.group_elem, "source": self.name}
 
 
-@dataclass(frozen=True)
-class CondensedData:
+class CondensedData(Value, by_dict=False):
     """Sector decomposition after condensing an invertible boson z.
 
     d0 is the identity sector (trivial residual grade), d1 everything
@@ -98,7 +102,10 @@ class CondensedData:
     d1: tuple[CondensedObject, ...]
     ring: FusionRing
     z: int
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+
+    def __init__(self, d0, d1, ring, z, warnings=()) -> None:
+        self.__dict__.update(d0=d0, d1=d1, ring=ring, z=z, warnings=warnings)
 
     def to_json_dict(self) -> dict:
         return {
@@ -192,14 +199,16 @@ def condense_z2(ring: FusionRing, z: int) -> CondensedData:
     )
 
 
-@dataclass(frozen=True)
-class ReconstructedGroup:
+class ReconstructedGroup(Value):
     """Group law recovered on the condensed identity sector."""
 
     order: int
     cyclic: bool
     assignment: dict  # condensed-object name -> residue in Z_order
     data: CondensedData  # identity-sector objects with group_elem filled
+
+    def __init__(self, order, cyclic, assignment, data) -> None:
+        self.__dict__.update(order=order, cyclic=cyclic, assignment=assignment, data=data)
 
 
 def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
@@ -310,15 +319,17 @@ def reconstruct_group(data: CondensedData) -> ReconstructedGroup:
     return group
 
 
-@dataclass(frozen=True)
-class TYReport:
+class TYReport(Value):
     """Tambara-Yamagami recognition: a pointed identity sector forming a
     group A plus a single object m with m (x) m = sum of all a in A."""
 
     is_ty: bool
-    group_order: int | None = None
-    cyclic: bool | None = None
-    reason: str | None = None
+    group_order: int | None
+    cyclic: bool | None
+    reason: str | None
+
+    def __init__(self, is_ty, group_order=None, cyclic=None, reason=None) -> None:
+        self.__dict__.update(is_ty=is_ty, group_order=group_order, cyclic=cyclic, reason=reason)
 
 
 def is_tambara_yamagami(data: CondensedData) -> TYReport:
@@ -353,14 +364,16 @@ def is_tambara_yamagami(data: CondensedData) -> TYReport:
     return TYReport(True, group_order=group.order, cyclic=group.cyclic)
 
 
-@dataclass(frozen=True)
-class MetaplecticDescriptor:
+class MetaplecticDescriptor(Value):
     """Invariant labelling one metaplectic class: a Jacobi sign for every
     prime of N plus one binary gauging choice (an opaque descriptor bit)."""
 
     n: int
     signs: tuple[tuple[int, int], ...]  # ((prime, eps), ...) ascending primes
     h3: int
+
+    def __init__(self, n, signs, h3) -> None:
+        self.__dict__.update(n=n, signs=signs, h3=h3)
 
     def to_json_dict(self) -> dict:
         return {

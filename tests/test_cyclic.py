@@ -5,7 +5,6 @@ import pickle
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modcat._value import replace
 from modcat.cyclic import (
     ClassDescriptor,
     CondensationError,
@@ -112,9 +112,9 @@ def test_phase_parse_refuses_all_but_ascii_a_or_a_over_b(text):
 
 
 def test_phase_pickle_and_deepcopy_roundtrip():
-    """Phase pickles through its own __reduce__ (a frozen slotted dataclass
-    cannot be unpickled on Python 3.10), and a twists tuple keeps its
-    shared objects shared."""
+    """Phase pickles through its own __reduce__ (default unpickling would
+    restore the slot state through the frozen __setattr__, which refuses
+    it), and a twists tuple keeps its shared objects shared."""
     phase = Phase.of(4, 15)
     assert phase.__reduce__() == (Phase, (Fraction(4, 15),))
     assert not hasattr(phase, "__dict__")

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import math
 import pickle
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modcat import fusion
+from modcat._value import FrozenInstanceError
 from modcat.fusion import (
     FusionRing,
     InvalidFusionRingError,
@@ -389,9 +389,9 @@ def test_ring_is_immutable_and_verified_once():
     assert verify_fusion_ring(ring) is report
     with pytest.raises(TypeError):
         ring.coeffs[(0, 0, 0)] = 2
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         ring.rank = 5
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         ring._report = report
     broken = ring.with_coefficient(0, 1, 1, 2)
     assert not verify_fusion_ring(broken).check("unit").passed

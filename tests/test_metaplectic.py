@@ -2,11 +2,11 @@ import gc
 import math
 import random
 import weakref
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modcat._value import replace
 from modcat.cyclic import canonical_invariant, classify
 from modcat.fusion import (
     FusionRing,

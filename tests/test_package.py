@@ -57,10 +57,11 @@ PUBLIC = [
 LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'modcat')"
 
 
-def fresh(script: str):
-    """The JSON a script prints as its last line, run in a fresh interpreter."""
+def fresh(script: str, *flags: str):
+    """The JSON a script prints as its last line, run in a fresh interpreter
+    started with the given flags."""
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + script],
+        [sys.executable, *flags, "-c", "import json, sys\n" + script],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -75,7 +76,16 @@ def test_import_loads_no_layer():
 
 def test_cyclic_import_loads_numthy_and_cyclic_only():
     loaded = fresh(f"from modcat import cyclic\nprint(json.dumps({LOADED}))")
-    assert loaded == ["modcat", "modcat.cyclic", "modcat.numthy"]
+    # modcat._value holds the value classes' base, not a layer.
+    assert loaded == ["modcat", "modcat._value", "modcat.cyclic", "modcat.numthy"]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    """Every modcat process imports modcat.cli.  Under -S no .pth file
+    preloads anything, so what is in sys.modules is the package's doing."""
+    heavy = ["dataclasses", "inspect", "typing"]
+    script = f"import modcat.cli\nprint(json.dumps([m for m in {heavy} if m in sys.modules]))"
+    assert fresh(script, "-S") == []
 
 
 def test_importtime_logs_each_layer():
