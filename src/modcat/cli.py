@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from collections.abc import Iterator
 
 from . import cyclic, fusion, metaplectic
-from ._value import Value
+from ._value import Value, ascii_int
 
 MAX_RANK = 250  # so2 and ring verify: so2 verify|condense 493 take 0.6-0.8 s as whole processes
 MAX_JOIN = 10**7  # ring verify: fusion.join_cost, the budget of a full associativity scan
@@ -52,14 +51,9 @@ def _dumps(payload: object) -> str:
 
 
 def _int(text: str) -> int:
-    """A decimal integer in ASCII digits, as Phase.parse reads them: no
-    sign but '-', no spaces, underscores or other scripts' digits."""
-    try:
-        if re.fullmatch("-?[0-9]+", text):
-            return int(text)
-    except ValueError:  # beyond the interpreter's int-string digit limit
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if (value := ascii_int(text)) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _subgroup(text: str) -> list[int]:

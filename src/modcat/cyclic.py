@@ -19,17 +19,14 @@ the exact path never loads it.
 from __future__ import annotations
 
 import cmath
-import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, isqrt, lcm, sqrt
 
-from ._value import Value
+from ._value import Value, ascii_int, json_fields, signed_pairs
 from .numthy import factorize, jacobi, unit_square_orbits
-
-_TWIST_TEXT = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")  # a twist text "a" or "a/b", b > 0
 
 
 class UnsupportedModulusError(ValueError):
@@ -75,12 +72,14 @@ class Phase(Value, by_dict=False):
 
     @classmethod
     def parse(cls, text: str) -> "Phase":
-        """The phase of a twist written "a" or "a/b", integers a and b > 0 in
-        ASCII digits; any other text raises ValueError naming it."""
-        if not isinstance(text, str) or not _TWIST_TEXT.fullmatch(text):
-            raise ValueError(f'twist {text!r} is not "a" or "a/b" with integers a and b > 0')
-        num, _, den = text.partition("/")
-        return cls.of(int(num), int(den) if den else 1)
+        """The phase of a twist written "a" or "a/b", integers a and b > 0 as
+        ascii_int reads them; any other text raises ValueError naming it."""
+        if isinstance(text, str):
+            num, slash, den = text.partition("/")
+            a, b = ascii_int(num), ascii_int(den) if slash else 1
+            if a is not None and b is not None and b > 0:
+                return cls.of(a, b)
+        raise ValueError(f'twist {text!r} is not "a" or "a/b" with integers a and b > 0')
 
     @property
     def is_zero(self) -> bool:
@@ -194,15 +193,10 @@ class CyclicCategory(Value, by_dict=False):
     @classmethod
     def from_json_dict(cls, data: dict) -> "CyclicCategory":
         """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
-        if not isinstance(data, dict):
-            raise ValueError("category data must be a JSON object")
-        for key in ("n", "k", "twists"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        twists = data["twists"]
+        n, k, twists = json_fields(data, "category", ("n", "k", "twists"))
         if not isinstance(twists, list):
             raise ValueError('twists must be a list of "a" or "a/b" strings')
-        return cls(n=data["n"], k=data["k"], twists=tuple(map(Phase.parse, twists)))
+        return cls(n=n, k=k, twists=tuple(map(Phase.parse, twists)))
 
 
 class ClassDescriptor(Value):
@@ -227,21 +221,8 @@ class ClassDescriptor(Value):
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassDescriptor":
         """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
-        if not isinstance(data, dict):
-            raise ValueError("descriptor data must be a JSON object")
-        if "factors" not in data:
-            raise ValueError("missing key 'factors'")
-        factors = data["factors"]
-        if not isinstance(factors, list) or not all(
-            isinstance(f, dict) and f.keys() >= {"pp", "sign"} for f in factors
-        ):
-            raise ValueError('factors must be a list of {"pp": ..., "sign": ...} objects')
-        for f in factors:
-            if type(f["pp"]) is not int or f["pp"] < 2:
-                raise ValueError(f"pp must be an integer > 1, got {f['pp']!r}")
-            if type(f["sign"]) is not int or f["sign"] not in (1, -1):
-                raise ValueError(f"sign must be 1 or -1, got {f['sign']!r}")
-        return cls(tuple((f["pp"], f["sign"]) for f in factors))
+        (factors,) = json_fields(data, "descriptor", ("factors",))
+        return cls(signed_pairs(factors, "factors", "pp", "sign"))
 
 
 def _require_odd(n: int) -> None:

@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain
 from operator import add
 
-from ._value import Value
+from ._value import Value, json_fields
 
 Coeffs = dict[tuple[int, int, int], int]
 Rows = list[list[dict[int, int]]]
@@ -210,12 +210,7 @@ class FusionRing(Value, by_dict=False):
         from_json_dict(data) is of_checked(*check_json_dict(data)), so a
         caller that bounds the rank does so in between.  type(x) is int
         refuses bools and floats."""
-        if not isinstance(data, dict):
-            raise ValueError("ring data must be a JSON object")
-        for key in ("rank", "labels", "dual", "N"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        labels, dual, rows = data["labels"], data["dual"], data["N"]
+        rank, labels, dual, rows = json_fields(data, "ring", ("rank", "labels", "dual", "N"))
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise ValueError("labels must be a list of strings")
         if not isinstance(dual, list) or any(type(d) is not int for d in dual):
@@ -228,7 +223,6 @@ class FusionRing(Value, by_dict=False):
         coeffs = {(i, j, k): m for i, j, k, m in rows}
         if len(coeffs) != len(rows):
             raise ValueError("duplicate [i, j, k] rows in N")
-        rank = data["rank"]
         return (rank, *_checked_fields(rank, labels, dual, coeffs), coeffs)
 
     @classmethod

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
-from ._value import Value, replace
+from ._value import Value, json_fields, replace, signed_pairs
 from .fusion import FusionRing, _dihedral_rows
 from .numthy import distinct_primes
 
@@ -385,26 +385,12 @@ class MetaplecticDescriptor(Value):
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetaplecticDescriptor":
         """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
-        if not isinstance(data, dict):
-            raise ValueError("descriptor data must be a JSON object")
-        for key in ("N", "signs", "h3"):
-            if key not in data:
-                raise ValueError(f"missing key {key!r}")
-        n, signs, h3 = data["N"], data["signs"], data["h3"]
+        n, signs, h3 = json_fields(data, "descriptor", ("N", "signs", "h3"))
         if type(n) is not int or n < 3 or n % 2 == 0:
             raise ValueError(f"N must be an odd integer >= 3, got {n!r}")
         if type(h3) is not int or h3 not in (0, 1):
             raise ValueError(f"h3 must be 0 or 1, got {h3!r}")
-        if not isinstance(signs, list) or not all(
-            isinstance(s, dict) and s.keys() >= {"p", "eps"} for s in signs
-        ):
-            raise ValueError('signs must be a list of {"p": ..., "eps": ...} objects')
-        for s in signs:
-            if type(s["p"]) is not int or s["p"] < 2:
-                raise ValueError(f"p must be an integer > 1, got {s['p']!r}")
-            if type(s["eps"]) is not int or s["eps"] not in (1, -1):
-                raise ValueError(f"eps must be 1 or -1, got {s['eps']!r}")
-        return cls(n=n, signs=tuple((s["p"], s["eps"]) for s in signs), h3=h3)
+        return cls(n=n, signs=signed_pairs(signs, "signs", "p", "eps"), h3=h3)
 
 
 def count_metaplectic(n: int) -> int:

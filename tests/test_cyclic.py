@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -103,10 +104,28 @@ def test_phase_string_forms():
     assert Phase.parse("3") == Phase.of(0)
 
 
-@pytest.mark.parametrize("text", [" 3 ", "1_0/3", "\u0661/\u0663", "1/-3", "1/0"])
+# Python before 3.10.7 has no int-string digit limit, and 0 turns it off.
+_DIGIT_LIMIT = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string digit limit"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " 3 ",
+        "1_0/3",
+        "\u0661/\u0663",
+        "1/-3",
+        "1/0",
+        pytest.param("9" * 5000, id="5000-digit-a", marks=_DIGIT_LIMIT),
+        pytest.param("1/" + "9" * 5000, id="5000-digit-b", marks=_DIGIT_LIMIT),
+    ],
+)
 def test_phase_parse_refuses_all_but_ascii_a_or_a_over_b(text):
-    # int() alone takes the first three and a negative denominator, and
-    # Fraction raises ZeroDivisionError for the last.
+    # int() alone takes the first three and a negative denominator,
+    # Fraction raises ZeroDivisionError for the fifth, and int() past the
+    # digit limit raises a message that names no twist.
     with pytest.raises(ValueError, match=re.escape(f"twist {text!r} is not")):
         Phase.parse(text)
 
@@ -486,27 +505,32 @@ def test_descriptor_json_roundtrip():
                 assert ClassDescriptor.from_json_dict(desc.to_json_dict()) == desc
 
 
-@pytest.mark.parametrize(
-    "data, field",
-    [
-        ({"factors": [{"pp": 5.7, "sign": True}]}, "pp"),
-        ({"factors": [{"pp": 5, "sign": True}]}, "sign"),
-        ({"factors": [{"pp": 5, "sign": 1.0}]}, "sign"),
-        ({"factors": [{"pp": 5, "sign": 0}]}, "sign"),
-        ({"factors": [{"pp": 5, "sign": 2}]}, "sign"),
-        ({"factors": [{"pp": "5", "sign": 1}]}, "pp"),
-        ({"factors": [{"pp": True, "sign": 1}]}, "pp"),
-        ({"factors": [{"pp": 1, "sign": 1}]}, "pp"),
-        ({"factors": [{"pp": 5}]}, "factors"),
-        ({"factors": [[5, 1]]}, "factors"),
-        ({"factors": {"pp": 5, "sign": 1}}, "factors"),
-        ({}, "factors"),
-        ([], "descriptor"),
-    ],
+_FACTORS_REFUSAL = 'factors must be a list of {"pp": ..., "sign": ...} objects'
+_DESCRIPTOR_REFUSALS = [
+    ({"factors": [{"pp": 5.7, "sign": True}]}, "pp", "pp must be an integer > 1, got 5.7"),
+    ({"factors": [{"pp": 5, "sign": True}]}, "sign", "sign must be 1 or -1, got True"),
+    ({"factors": [{"pp": 5, "sign": 1.0}]}, "sign", "sign must be 1 or -1, got 1.0"),
+    ({"factors": [{"pp": 5, "sign": 0}]}, "sign", "sign must be 1 or -1, got 0"),
+    ({"factors": [{"pp": 5, "sign": 2}]}, "sign", "sign must be 1 or -1, got 2"),
+    ({"factors": [{"pp": "5", "sign": 1}]}, "pp", "pp must be an integer > 1, got '5'"),
+    ({"factors": [{"pp": True, "sign": 1}]}, "pp", "pp must be an integer > 1, got True"),
+    ({"factors": [{"pp": 1, "sign": 1}]}, "pp", "pp must be an integer > 1, got 1"),
+    ({"factors": [{"pp": 5}]}, "factors", _FACTORS_REFUSAL),
+    ({"factors": [[5, 1]]}, "factors", _FACTORS_REFUSAL),
+    ({"factors": {"pp": 5, "sign": 1}}, "factors", _FACTORS_REFUSAL),
+    ({}, "factors", "missing key 'factors'"),
+    ([], "descriptor", "descriptor data must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize(  # ids leave the long message out
+    "data, field, message",
+    [pytest.param(*case, id=f"data{i}-{case[1]}") for i, case in enumerate(_DESCRIPTOR_REFUSALS)],
 )
-def test_descriptor_json_refuses_malformed_fields(data, field):
-    with pytest.raises(ValueError, match=rf"^{field} |'{field}'"):
+def test_descriptor_json_refuses_malformed_fields(data, field, message):
+    with pytest.raises(ValueError, match=rf"^{field} |'{field}'") as refused:
         ClassDescriptor.from_json_dict(data)
+    assert str(refused.value) == message
 
 
 def test_classify_examples():
@@ -1038,30 +1062,56 @@ def test_twists_traced_peak_under_14mb_at_n_99991():
 
 
 _GOOD_CATEGORY = {"n": 3, "k": 1, "twists": ["0/1", "1/3", "1/3"]}
+_TWIST_FORM = 'is not "a" or "a/b" with integers a and b > 0'
+_CATEGORY_REFUSALS = [
+    ({"n": 3.9}, "n must be a positive integer", "n must be a positive integer, got 3.9"),
+    ({"n": "3"}, "n must be a positive integer", "n must be a positive integer, got '3'"),
+    ({"n": True}, "n must be a positive integer", "n must be a positive integer, got True"),
+    ({"n": 0, "twists": []}, "n must be a positive integer", "n must be a positive integer, got 0"),
+    ({"k": True}, "k must be an integer", "k must be an integer, got True"),
+    ({"k": "1"}, "k must be an integer", "k must be an integer, got '1'"),
+    ({"k": 1.0}, "k must be an integer", "k must be an integer, got 1.0"),
+    ({"twists": "0/1 1/3 1/3"}, "twists must be a list", 'twists must be a list of "a" or "a/b" strings'),
+    ({"twists": ["0/1", "1/0", "1/3"]}, "twist '1/0' is not", f"twist '1/0' {_TWIST_FORM}"),
+    ({"twists": ["0/1", "1/00", "1/3"]}, "twist '1/00' is not", f"twist '1/00' {_TWIST_FORM}"),
+    ({"twists": ["0/1", "1/-3", "1/3"]}, "twist '1/-3' is not", f"twist '1/-3' {_TWIST_FORM}"),
+    ({"twists": ["0/1", " 1/3", "1/3"]}, "twist ' 1/3' is not", f"twist ' 1/3' {_TWIST_FORM}"),
+    ({"twists": ["0/1", "1/3/1", "1/3"]}, "twist '1/3/1' is not", f"twist '1/3/1' {_TWIST_FORM}"),
+    ({"twists": ["0/1", 0.5, "1/3"]}, "twist 0.5 is not", f"twist 0.5 {_TWIST_FORM}"),
+]
+_NINES = "9" * 5000
 
 
-@pytest.mark.parametrize(
-    "change, message",
+@pytest.mark.parametrize(  # ids leave the long message out
+    "data, message, full",
     [
-        ({"n": 3.9}, "n must be a positive integer"),
-        ({"n": "3"}, "n must be a positive integer"),
-        ({"n": True}, "n must be a positive integer"),
-        ({"n": 0, "twists": []}, "n must be a positive integer"),
-        ({"k": True}, "k must be an integer"),
-        ({"k": "1"}, "k must be an integer"),
-        ({"k": 1.0}, "k must be an integer"),
-        ({"twists": "0/1 1/3 1/3"}, "twists must be a list"),
-        ({"twists": ["0/1", "1/0", "1/3"]}, "twist '1/0' is not"),
-        ({"twists": ["0/1", "1/00", "1/3"]}, "twist '1/00' is not"),
-        ({"twists": ["0/1", "1/-3", "1/3"]}, "twist '1/-3' is not"),
-        ({"twists": ["0/1", " 1/3", "1/3"]}, "twist ' 1/3' is not"),
-        ({"twists": ["0/1", "1/3/1", "1/3"]}, "twist '1/3/1' is not"),
-        ({"twists": ["0/1", 0.5, "1/3"]}, "twist 0.5 is not"),
+        pytest.param({**_GOOD_CATEGORY, **change}, message, full, id=f"change{i}-{message}")
+        for i, (change, message, full) in enumerate(_CATEGORY_REFUSALS)
+    ]
+    + [
+        pytest.param([3, 1, []], "JSON object", "category data must be a JSON object", id="list"),
+        *(
+            pytest.param(
+                {k: v for k, v in _GOOD_CATEGORY.items() if k != key},
+                "missing key",
+                f"missing key {key!r}",
+                id=f"missing-{key}",
+            )
+            for key in _GOOD_CATEGORY
+        ),
+        pytest.param(
+            {**_GOOD_CATEGORY, "twists": ["0/1", f"1/{_NINES}", "1/3"]},
+            "is not",
+            f"twist '1/{_NINES}' {_TWIST_FORM}",
+            id="5000-digit-twist",
+            marks=_DIGIT_LIMIT,
+        ),
     ],
 )
-def test_category_json_refuses_malformed_fields(change, message):
-    with pytest.raises(ValueError, match=message):
-        CyclicCategory.from_json_dict({**_GOOD_CATEGORY, **change})
+def test_category_json_refuses_malformed_fields(data, message, full):
+    with pytest.raises(ValueError, match=message) as refused:
+        CyclicCategory.from_json_dict(data)
+    assert str(refused.value) == full
 
 
 def test_category_constructor_refuses_what_the_reader_refuses():
@@ -1083,15 +1133,6 @@ def test_category_constructor_refuses_what_the_reader_refuses():
         CyclicCategory(3, 1, [Phase.of(0), Phase.of(1, 3), "1/3"])
     with pytest.raises(ValueError, match="twists must be a sequence of Phase values, got None"):
         CyclicCategory(3, 1, None)
-
-
-def test_category_json_refuses_non_object_and_missing_keys():
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        CyclicCategory.from_json_dict([3, 1, []])
-    for key in _GOOD_CATEGORY:
-        data = {k: v for k, v in _GOOD_CATEGORY.items() if k != key}
-        with pytest.raises(ValueError, match=f"missing key '{key}'"):
-            CyclicCategory.from_json_dict(data)
 
 
 def test_category_json_accepts_integer_and_negative_twists():

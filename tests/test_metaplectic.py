@@ -591,35 +591,51 @@ def test_descriptor_json_roundtrip():
 GOOD_DESCRIPTOR = {"N": 15, "signs": [{"p": 3, "eps": 1}, {"p": 5, "eps": -1}], "h3": 1}
 
 
-@pytest.mark.parametrize(
-    "change, field",
-    [
-        ({"N": "15"}, "N"),
-        ({"N": 15.0}, "N"),
-        ({"N": True}, "N"),
-        ({"N": 14}, "N"),
-        ({"N": 1}, "N"),
-        ({"h3": "1"}, "h3"),
-        ({"h3": True}, "h3"),
-        ({"h3": 2}, "h3"),
-        ({"h3": 1.0}, "h3"),
-        ({"signs": [{"p": 3, "eps": True}]}, "eps"),
-        ({"signs": [{"p": 3, "eps": 0}]}, "eps"),
-        ({"signs": [{"p": 3.0, "eps": 1}]}, "p"),
-        ({"signs": [{"p": "3", "eps": 1}]}, "p"),
-        ({"signs": [{"p": 3}]}, "signs"),
-        ({"signs": [[3, 1]]}, "signs"),
-        ({"signs": "3:+1"}, "signs"),
-        ({"h3": None}, "h3"),
-    ],
+SIGNS_REFUSAL = 'signs must be a list of {"p": ..., "eps": ...} objects'
+DESCRIPTOR_REFUSALS = [
+    ({"N": "15"}, "N", "N must be an odd integer >= 3, got '15'"),
+    ({"N": 15.0}, "N", "N must be an odd integer >= 3, got 15.0"),
+    ({"N": True}, "N", "N must be an odd integer >= 3, got True"),
+    ({"N": 14}, "N", "N must be an odd integer >= 3, got 14"),
+    ({"N": 1}, "N", "N must be an odd integer >= 3, got 1"),
+    ({"h3": "1"}, "h3", "h3 must be 0 or 1, got '1'"),
+    ({"h3": True}, "h3", "h3 must be 0 or 1, got True"),
+    ({"h3": 2}, "h3", "h3 must be 0 or 1, got 2"),
+    ({"h3": 1.0}, "h3", "h3 must be 0 or 1, got 1.0"),
+    ({"signs": [{"p": 3, "eps": True}]}, "eps", "eps must be 1 or -1, got True"),
+    ({"signs": [{"p": 3, "eps": 0}]}, "eps", "eps must be 1 or -1, got 0"),
+    ({"signs": [{"p": 3.0, "eps": 1}]}, "p", "p must be an integer > 1, got 3.0"),
+    ({"signs": [{"p": "3", "eps": 1}]}, "p", "p must be an integer > 1, got '3'"),
+    ({"signs": [{"p": 3}]}, "signs", SIGNS_REFUSAL),
+    ({"signs": [[3, 1]]}, "signs", SIGNS_REFUSAL),
+    ({"signs": "3:+1"}, "signs", SIGNS_REFUSAL),
+    ({"h3": None}, "h3", "h3 must be 0 or 1, got None"),
+]
+
+
+@pytest.mark.parametrize(  # ids leave the long message out
+    "change, field, message",
+    [pytest.param(*case, id=f"change{i}-{case[1]}") for i, case in enumerate(DESCRIPTOR_REFUSALS)],
 )
-def test_descriptor_json_refuses_malformed_fields(change, field):
+def test_descriptor_json_refuses_malformed_fields(change, field, message):
     assert MetaplecticDescriptor.from_json_dict(GOOD_DESCRIPTOR).n == 15
-    with pytest.raises(ValueError, match=rf"^{field} |'{field}'"):
+    with pytest.raises(ValueError, match=rf"^{field} |'{field}'") as refused:
         MetaplecticDescriptor.from_json_dict({**GOOD_DESCRIPTOR, **change})
+    assert str(refused.value) == message
 
 
-@pytest.mark.parametrize("data", [[], {"N": 15, "signs": []}, {"signs": [], "h3": 0}])
-def test_descriptor_json_refuses_missing_keys(data):
-    with pytest.raises(ValueError, match="descriptor data|missing key"):
+MISSING_KEYS = [
+    ([], "descriptor data must be a JSON object"),
+    ({"N": 15, "signs": []}, "missing key 'h3'"),
+    ({"signs": [], "h3": 0}, "missing key 'N'"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [pytest.param(*case, id=f"data{i}") for i, case in enumerate(MISSING_KEYS)],
+)
+def test_descriptor_json_refuses_missing_keys(data, message):
+    with pytest.raises(ValueError, match="descriptor data|missing key") as refused:
         MetaplecticDescriptor.from_json_dict(data)
+    assert str(refused.value) == message
