@@ -882,7 +882,7 @@ def dihedral_fusion(n: int) -> FusionRing:
     1 + Z.
     """
     if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd n >= 3, got {n}")
+        raise ValueError(f"need odd n >= 3, got {n!r}")
     rank = 2 + (n - 1) // 2
     labels = ("1", "Z") + tuple(f"Y{i}" for i in range(1, rank - 1))
     return FusionRing._of_rows(rank, labels, tuple(range(rank)), _dihedral_rows(n, 2))

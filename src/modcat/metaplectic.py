@@ -29,7 +29,7 @@ class GroupReconstructionError(ValueError):
 def _require_odd_n(n: int) -> None:
     """Refuse n unless it is an odd int >= 3 (so no bool or float)."""
     if type(n) is not int or n < 3 or n % 2 == 0:
-        raise ValueError(f"need odd N >= 3, got {n}")
+        raise ValueError(f"need odd N >= 3, got {n!r}")
 
 
 @lru_cache(maxsize=8)

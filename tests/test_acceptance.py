@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import tempfile
+import traceback
 from math import gcd
 from pathlib import Path
 
@@ -218,6 +219,27 @@ def test_criterion_10_cli_roundtrip():
     assert _report(10, "CLI round-trip, byte-stable", ok)
 
 
+def test_runner_fails_a_raising_criterion_and_runs_the_rest(monkeypatch, capsys):
+    """main() prints a FAIL line and the traceback for a criterion that
+    raises something other than AssertionError, runs the later criteria,
+    and exits 1."""
+    this_module = sys.modules[__name__]
+    ran = []
+    for name in dir(this_module):
+        if name.startswith("test_criterion_"):
+            monkeypatch.setattr(this_module, name, lambda name=name: ran.append(name))
+
+    def raising():
+        raise KeyError("boom")
+
+    monkeypatch.setattr(this_module, "test_criterion_2_metaplectic_count", raising)
+    assert main() == 1
+    out, err = capsys.readouterr()
+    assert out == f"acceptance  2 {'metaplectic count':<28} FAIL  (KeyError('boom'))\n"
+    assert err.startswith("Traceback") and err.endswith("KeyError: 'boom'\n")
+    assert len(ran) == 9 and ran[-1] == "test_criterion_10_cli_roundtrip"
+
+
 def main() -> int:
     failures = 0
     this_module = sys.modules[__name__]
@@ -225,8 +247,13 @@ def main() -> int:
     for name in sorted(names, key=lambda n: int(n.split("_")[2])):
         try:
             getattr(this_module, name)()
-        except AssertionError:
+        except AssertionError:  # the criterion printed its FAIL line
             failures += 1
+        except Exception as exc:  # it raised before printing: fail it, run the rest
+            failures += 1
+            _, _, num, label = name.split("_", 3)
+            _report(int(num), label.replace("_", " "), False, repr(exc))
+            traceback.print_exc()
     return 1 if failures else 0
 
 

@@ -40,6 +40,7 @@ def test_build_degenerate_exits_one_with_message():
 
 def test_even_modulus_exits_one():
     assert run(["cyclic", "build", "6", "1"]).status == 1
+    assert run(["cyclic", "build", "4", "1"]).status == 1
 
 
 def test_unknown_command_exits_one():
@@ -122,6 +123,12 @@ def test_condense_payload():
     payload = payload_of(["cyclic", "condense", "9", "1", "--subgroup", "0,3,6"])
     assert payload["lagrangian"] is True
     assert payload["quotient"]["n"] == 1
+    result = run(["cyclic", "condense", "45", "1", "--subgroup", "0,15,30", "--format", "json"])
+    assert result.status == 0
+    assert result.table == (
+        '{"generator":3,"k":1,"lagrangian":false,"n":45,"perp_order":15,'
+        '"quotient":{"k":1,"n":5,"twists":["0/1","1/5","4/5","4/5","1/5"]},"subgroup":[0,15,30]}'
+    )
 
 
 def test_double_payload():
@@ -131,6 +138,11 @@ def test_double_payload():
     payload = payload_of(["cyclic", "double", "15", "1"])
     assert payload["quantum_double"] is False
     assert payload["lagrangian_subgroup"] is None
+    result = run(["cyclic", "double", "49", "1", "--format", "json"])
+    assert result.status == 0
+    assert result.table == (
+        '{"k":1,"lagrangian_subgroup":[0,7,14,21,28,35,42],"n":49,"quantum_double":true}'
+    )
 
 
 # --------------------------------------------------------------- so2 verbs
@@ -165,6 +177,14 @@ def test_meta_enumerate_payload():
 # ------------------------------------------------------------- ring verify
 
 
+PASSED_REPORT = (
+    '{"checks":[{"name":"unit","passed":true,"witness":null},'
+    '{"name":"dual","passed":true,"witness":null},'
+    '{"name":"commutativity","passed":true,"witness":null},'
+    '{"name":"associativity","passed":true,"witness":null}],"passed":true}'
+)
+
+
 def test_ring_verify_roundtrip(tmp_path):
     result = run(["so2", "fusion", "7", "--format", "json"])
     path = tmp_path / "so7.json"
@@ -172,6 +192,10 @@ def test_ring_verify_roundtrip(tmp_path):
     verify = run(["ring", "verify", "--file", str(path)])
     assert verify.status == 0
     assert verify.payload["passed"] is True
+    path.write_text(run(["so2", "fusion", "15", "--format", "json"]).table)
+    verify = run(["ring", "verify", "--file", str(path), "--format", "json"])
+    assert verify.status == 0
+    assert verify.table == PASSED_REPORT
 
 
 def test_ring_verify_broken_ring_exits_two(tmp_path):
@@ -185,6 +209,31 @@ def test_ring_verify_broken_ring_exits_two(tmp_path):
     assert result.payload["passed"] is False
     failing = [c for c in result.payload["checks"] if not c["passed"]]
     assert failing and failing[0]["witness"] is not None
+    # A rank-3 ring that fails only the dual check, and a rank-2 ring with
+    # a (x) 1 = 2a, which fails all four.
+    for text, report in (
+        (
+            '{"rank":3,"labels":["1","a","b"],"dual":[0,2,1],"N":[[0,0,0,1],[0,1,1,1],'
+            "[0,2,2,1],[1,0,1,1],[1,1,2,1],[1,2,0,1],[1,2,1,1],[2,0,2,1],[2,1,0,1],"
+            "[2,1,1,1],[2,2,1,1],[2,2,2,1]]}",
+            '{"checks":[{"name":"unit","passed":true,"witness":null},'
+            '{"name":"dual","passed":false,"witness":[1,1,1]},'
+            '{"name":"commutativity","passed":true,"witness":null},'
+            '{"name":"associativity","passed":true,"witness":null}],"passed":false}',
+        ),
+        (
+            '{"rank":2,"labels":["1","a"],"dual":[0,1],'
+            '"N":[[0,0,0,1],[0,1,1,1],[1,0,1,2],[1,1,0,1]]}',
+            '{"checks":[{"name":"unit","passed":false,"witness":[1,0,1]},'
+            '{"name":"dual","passed":false,"witness":[1,0,1]},'
+            '{"name":"commutativity","passed":false,"witness":[0,1,1]},'
+            '{"name":"associativity","passed":false,"witness":[1,0,0,1]}],"passed":false}',
+        ),
+    ):
+        path.write_text(text)
+        result = run(["ring", "verify", "--file", str(path), "--format", "json"])
+        assert result.status == 2
+        assert result.table == report
 
 
 def test_ring_verify_bad_json_exits_one(tmp_path):
@@ -254,33 +303,41 @@ def test_cli_error_goes_to_stderr():
     assert "degenerate form" in proc.stderr
 
 
-def test_json_build_at_max_n_peaks_below_180_mb():
+def test_json_build_at_max_n_peaks_below_180_mb(tmp_path):
     """`cyclic build 999999 2 --format json` renders only its JSON, so the
     whole process peaks at about 120 MB; building the unused 31 MB table
     too took it to 230 MB.  The child reads VmHWM from its own status
-    file: ru_maxrss would start from the parent's high-water mark."""
+    file: ru_maxrss would start from the parent's high-water mark.  It
+    writes the JSON to a file and counts the twists there after reading
+    its peak."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")
     script = """
-import os, sys
+import json, sys
 from modcat import cli
+path = sys.argv[1]
 sys.argv = ["modcat", "cyclic", "build", "999999", "2", "--format", "json"]
-sys.stdout = open(os.devnull, "w")
+sys.stdout = open(path, "w")
 try:
     cli.main()
 except SystemExit as exc:
     status = exc.code
 with open("/proc/self/status") as fh:
     peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(status, peak_kb, file=sys.__stdout__)
+sys.stdout.close()
+with open(path) as fh:
+    twists = len(json.load(fh)["twists"])
+print(status, peak_kb, twists, file=sys.__stdout__)
 """
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        [sys.executable, "-c", script, str(tmp_path / "build.json")],
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    status, peak_kb = map(int, proc.stdout.split())
+    status, peak_kb, twists = map(int, proc.stdout.split())
     assert status == 0
     assert peak_kb / 1024 < 180
+    assert twists == 999_999
 
 
 def statuses_and_peak_mb(commands: list[list[str]]) -> tuple[list[int], float]:
@@ -720,6 +777,9 @@ def test_strict_integers_admit_signs_zeros_and_long_digits():
     assert payload_of(["cyclic", "condense", "9", "-8", "--subgroup", "0,-3,003,"])["lagrangian"]
     digits = "9" * 5000  # past the interpreter's int-string limit where it has one
     assert run(["cyclic", "classify", digits]).status == 1
+    result = run(["cyclic", "build", digits, "1"])
+    assert result.status == 1
+    assert result.table == f"error: argument n: invalid int value: {digits!r}"
 
 
 @given(data=st.data(), command=st.sampled_from(sorted(INTEGER_COMMANDS)))

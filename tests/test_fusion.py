@@ -872,6 +872,8 @@ def test_dihedral_rejects_bad_n():
     for bad in (7.0, 7.5):
         with pytest.raises(ValueError, match="need odd n >= 3"):
             dihedral_fusion(bad)
+    with pytest.raises(ValueError, match="need odd n >= 3, got '5'"):
+        dihedral_fusion("5")
 
 
 def test_dihedral_matches_character_table_oracle():

@@ -107,6 +107,8 @@ def test_so_n2_rejects_bad_n():
     for bad in (5.0, 7.0, 7.5):
         with pytest.raises(ValueError, match="need odd N >= 3"):
             so_n2_fusion(bad)
+    with pytest.raises(ValueError, match="need odd N >= 3, got '5'"):
+        so_n2_fusion("5")
 
 
 @given(odd_N)
