@@ -4,10 +4,10 @@ A subclass lists its fields as class annotations, in order, and sets them
 in its own `__init__`, in that order: into `self.__dict__`, or with
 `object.__setattr__` for a slotted field.  An `__init__` that only stores
 its arguments leaves their types to the annotations.  The base gives it what
-`@dataclass(frozen=True)` gave: `==` between instances of one class, the
-hash of the field tuple, the repr `Name(field=value, ...)`, and attributes
-that cannot be assigned or deleted.  Values pickle and deep-copy through
-their `__dict__`, and `cached_property` writes there too.
+`@dataclass(frozen=True)` gave: `==` of the fields between instances of one
+class, the hash of the field tuple, the repr `Name(field=value, ...)`, and
+attributes that cannot be assigned or deleted.  Values pickle and deep-copy
+through their `__dict__`, and `cached_property` writes there too.
 
 The module also holds the one strict reader of each input rule that several
 layers share: `ascii_int`, `json_fields` and `signed_pairs`.
@@ -24,26 +24,18 @@ class FrozenInstanceError(AttributeError):
 
 
 class Value:
-    """`==` compares the two `__dict__`s, which hold the fields and nothing
-    else; a class with slots, or whose `__dict__` keeps more (a
-    cached_property, a memo), passes `by_dict=False` and compares its
-    fields in order.  Either reads as the dataclass `==` did, at its speed."""
+    """`==` and the hash read the fields in order, as the dataclass's did,
+    and nothing else: a slotted field counts, and what a cached_property or
+    a memo keeps in `__dict__` does not."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, by_dict: bool = True) -> None:
+    def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         cls._key = attrgetter(*cls._fields)  # one field gives the bare value
-        if not by_dict:
-            cls.__eq__ = Value._eq_fields
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def _eq_fields(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._key(self) == self._key(other)
         return NotImplemented

@@ -53,7 +53,7 @@ class NotIsotropicError(CondensationError):
     pass
 
 
-class Phase(Value, by_dict=False):
+class Phase(Value):
     """A root of unity e^{2 pi i a/b}, stored as the reduced fraction a/b
     in [0, 1).  Addition and negation are exact modulo 1.  Immutable, so
     one object may stand for every label that carries its value."""
@@ -125,7 +125,7 @@ def phases(denominator: int, residues: Sequence[int]) -> tuple[Phase, ...]:
     return tuple(_shared(residues, lambda r: Phase.of(r, denominator)))
 
 
-class CyclicCategory(Value, by_dict=False):
+class CyclicCategory(Value):
     """Modular data of the cyclic category with twists theta_j = e^{2 pi i
     k j^2 / n} on the fusion group Z_n.  n odd, k a unit modulo n.
 

@@ -86,7 +86,7 @@ class _Items(ItemsView):
                     yield (i, j, k), m
 
 
-class FusionRing(Value, by_dict=False):
+class FusionRing(Value):
     """Sparse fusion-ring data, immutable.
 
     coeffs maps (i, j, k) -> N_ij^k; absent triples mean multiplicity 0.

@@ -15,7 +15,7 @@ from math import gcd, isqrt
 
 from ._value import Value, json_fields, replace, signed_pairs
 from .fusion import FusionRing, _dihedral_rows
-from .numthy import distinct_primes
+from .numthy import distinct_primes, is_prime
 
 
 class CondensationInputError(ValueError):
@@ -91,7 +91,7 @@ class CondensedObject(Value):
         return {"dim": self.dim, "group_elem": self.group_elem, "source": self.name}
 
 
-class CondensedData(Value, by_dict=False):
+class CondensedData(Value):
     """Sector decomposition after condensing an invertible boson z.
 
     d0 is the identity sector (trivial residual grade), d1 everything
@@ -384,13 +384,33 @@ class MetaplecticDescriptor(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetaplecticDescriptor":
-        """Load the JSON schema strictly; type(x) is int refuses bools and floats."""
+        """Load the JSON schema strictly; type(x) is int refuses bools and
+        floats.  The signs' p are the distinct primes of N, ascending,
+        checked without factoring N, which may be of any size: each p
+        exceeds the one before, divides N and passes is_prime, and dividing
+        them all out of N leaves 1.  is_prime is deterministic below
+        318665857834031151167461 (about 3.2 * 10**23), the least strong
+        pseudoprime to its twelve bases, which it takes for a prime."""
         n, signs, h3 = json_fields(data, "descriptor", ("N", "signs", "h3"))
         if type(n) is not int or n < 3 or n % 2 == 0:
             raise ValueError(f"N must be an odd integer >= 3, got {n!r}")
         if type(h3) is not int or h3 not in (0, 1):
             raise ValueError(f"h3 must be 0 or 1, got {h3!r}")
-        return cls(n=n, signs=signed_pairs(signs, "signs", "p", "eps"), h3=h3)
+        signs = signed_pairs(signs, "signs", "p", "eps")
+        rest, previous = n, 1
+        for p, _ in signs:
+            if p <= previous:
+                raise ValueError(f"p must exceed the p before it, got {p} after {previous}")
+            if n % p:
+                raise ValueError(f"p must divide N = {n}, got {p}")
+            if not is_prime(p):
+                raise ValueError(f"p must be prime, got {p}")
+            while rest % p == 0:
+                rest //= p
+            previous = p
+        if rest != 1:
+            raise ValueError(f"signs must list every prime of N = {n}, but {rest} is left")
+        return cls(n=n, signs=signs, h3=h3)
 
 
 def count_metaplectic(n: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import modcat
-from modcat.cli import MAX_FACTOR_N, MAX_JOIN, MAX_N, MAX_RANK, run
+from modcat.cli import MAX_FACTOR_N, MAX_JOIN, MAX_N, MAX_RANK, CommandResult, run
 from modcat.cyclic import are_equivalent
 from modcat.fusion import FusionRing, dihedral_fusion, join_cost, pointed_cyclic_ring
 from modcat.metaplectic import so_n2_fusion
@@ -46,6 +46,16 @@ def test_even_modulus_exits_one():
 def test_unknown_command_exits_one():
     assert run(["cyclic", "frobnicate", "5"]).status == 1
     assert run(["nonsense"]).status == 1
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["-h"], "usage: modcat [-h] {cyclic,so2,meta,ring} ...\n"),
+    (["cyclic", "build", "-h"], "usage: modcat cyclic build [-h] [--format {json,table}] n k\n"),
+])
+def test_help_exits_zero_with_usage_on_stdout(argv, usage, capsys):
+    assert run(argv) == CommandResult(0, None, "")
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
 
 
 def test_bad_integer_exits_one():

@@ -55,7 +55,10 @@ def test_pointed_ring_passes_all_axioms():
 
 
 def test_so7_passes_all_axioms():
-    assert verify_fusion_ring(so_n2_fusion(7)).all_passed
+    report = verify_fusion_ring(so_n2_fusion(7))
+    assert report.all_passed
+    with pytest.raises(KeyError):
+        report.check("nope")
 
 
 def test_incremented_coefficient_breaks_associativity():

@@ -585,7 +585,7 @@ def test_enumerate_sign_vectors_biject_with_cyclic_classes():
 
 
 def test_descriptor_json_roundtrip():
-    for n in range(3, 200, 2):
+    for n in (*range(3, 400, 2), 100280245065):
         for d in enumerate_metaplectic(n):
             assert MetaplecticDescriptor.from_json_dict(d.to_json_dict()) == d
 
@@ -612,6 +612,14 @@ DESCRIPTOR_REFUSALS = [
     ({"signs": [[3, 1]]}, "signs", SIGNS_REFUSAL),
     ({"signs": "3:+1"}, "signs", SIGNS_REFUSAL),
     ({"h3": None}, "h3", "h3 must be 0 or 1, got None"),
+    ({"signs": [{"p": 4, "eps": 1}]}, "p", "p must divide N = 15, got 4"),
+    ({"signs": [{"p": 5, "eps": 1}, {"p": 3, "eps": 1}]}, "p",
+     "p must exceed the p before it, got 3 after 5"),
+    ({"signs": [{"p": 3, "eps": 1}]}, "signs",
+     "signs must list every prime of N = 15, but 5 is left"),
+    ({"signs": [{"p": 15, "eps": 1}]}, "p", "p must be prime, got 15"),
+    ({"signs": [{"p": 3, "eps": 1}, {"p": 3, "eps": 1}, {"p": 5, "eps": 1}]}, "p",
+     "p must exceed the p before it, got 3 after 3"),
 ]
 
 

@@ -3,24 +3,23 @@
 import argparse
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from tests.test_cli import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    path = os.pathsep.join(p for p in paths if p)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
 
 

@@ -9,9 +9,11 @@ assigning a name that is not a field.
 
 import copy
 import pickle
+from functools import cached_property
 
 import pytest
 
+from modcat._value import Value
 from modcat.cli import CommandResult
 from modcat.cyclic import (
     BalancingReport,
@@ -191,3 +193,25 @@ def test_value_semantics(name):
         assert pickle.loads(pickle.dumps(value, protocol)) == value
     assert copy.deepcopy(value) == value
     assert hasattr(value, "__dict__") is (name != "Phase")
+
+
+class _Pair(Value):
+    a: int
+    b: int
+
+    def __init__(self, a, b) -> None:
+        self.__dict__.update(a=a, b=b)
+
+    @cached_property
+    def total(self) -> int:
+        return self.a + self.b
+
+
+def test_a_cached_property_leaves_equality_alone():
+    """A cached_property keeps its result in the value's `__dict__`; two
+    equal values stay equal, as they hash equal, once one has read it."""
+    first, second = _Pair(1, 2), _Pair(1, 2)
+    assert first.total == 3 and "total" in first.__dict__
+    assert first == second and second == first and not first != second
+    assert hash(first) == hash(second)
+    assert first != _Pair(1, 3)
